@@ -266,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Identifying codes on the hexagonal grid: verify, classify, "
                     "discharge, check lemmas, and search.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved for future parallel backends; runs use one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):

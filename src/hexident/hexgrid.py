@@ -22,6 +22,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Vertex(NamedTuple):
     a: int
     b: int

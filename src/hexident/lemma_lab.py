@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
-from .hexgrid import Vertex, neighbors
+from .hexgrid import Vertex, neighbors, set_bits
 
 IN = "IN"
 OUT = "OUT"
@@ -344,13 +344,6 @@ TEMPLATES: Dict[str, Template] = {
 # the three-valued search engine
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _grid_ball(verts: Iterable[Vertex], radius: int) -> frozenset:
     """All vertices within the given distance of the vertex set."""
     seen = set(verts)
@@ -468,7 +461,7 @@ class _Engine:
                 delta = self.nbmask[i] ^ self.nbmask[j]
                 pid = len(self.pairs)
                 self.pairs.append(delta)
-                for t in _bits(delta):
+                for t in set_bits(delta):
                     self.pairs_touching[t].append(pid)
 
         # exact grid distances between universe vertices, up to 4
@@ -654,7 +647,7 @@ class _Engine:
         comps = []
         seen = 0
         mem = self.mem
-        for i in _bits(mem):
+        for i in set_bits(mem):
             if (seen >> i) & 1:
                 continue
             stack = [i]

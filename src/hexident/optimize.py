@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from hexident.code import PeriodicCode, full_code, identifying_constraints
-from hexident.hexgrid import PeriodLattice, Vertex, ball
+from hexident.hexgrid import PeriodLattice, Vertex, ball, set_bits
 
 # Proved bracket on the minimum density of an identifying code of the
 # grid: no code is sparser than 12/29, and explicit periodic codes
@@ -75,13 +75,6 @@ def _masks(lattice: PeriodLattice) -> tuple[int, ...]:
     return tuple(c.mask for c in identifying_constraints(lattice))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Stop(Exception):
     pass
 
@@ -89,12 +82,35 @@ class _Stop(Exception):
 class _Search:
     """Branch and bound over one clause system.
 
+    Clauses are numbered by their position in masks, and sets of
+    clauses are bitmasks over those positions.  Built once per search:
+    occ[i], the clauses that contain orbit i, and orbits[c], the orbits
+    of clause c in ascending order.  Each node carries in_bits (members),
+    out_bits (exclusions) and unsat, the clauses no member hits yet.  An
+    orbit is free when it is neither a member nor excluded, and its
+    cover is the number of unsat clauses that contain it,
+    (occ[i] & unsat).bit_count(); one cover table per node serves both
+    the lower bound and the branch pick.
+
+    Propagation invariant: every state handed to _node is a unit
+    propagation fixpoint, so each unsat clause keeps at least two free
+    orbits.  Propagation only adds members and out_bits stays fixed
+    while it runs, so a single pass reaches the fixpoint.  A membership
+    branch only shrinks unsat and needs no propagation; an exclusion
+    branch leaves at most the clauses in unsat & occ[bit] with a single
+    free orbit, and none with none.
+
     bound is one more than the largest size still worth recording, so
     any completion of size < bound improves the incumbent.
     """
 
-    def __init__(self, masks, limit: int, node_cap: int | None):
+    def __init__(self, masks, n: int, limit: int, node_cap: int | None):
         self.masks = masks
+        self.orbits = [tuple(set_bits(m)) for m in masks]
+        self.occ = [0] * n
+        for c, orbits in enumerate(self.orbits):
+            for i in orbits:
+                self.occ[i] |= 1 << c
         self.bound = limit + 1
         self.node_cap = node_cap
         self.best: int | None = None
@@ -107,69 +123,77 @@ class _Search:
             self.best = bits
 
     def run(self, in_bits: int, out_bits: int) -> None:
-        state = self._propagate(in_bits, out_bits)
+        # tiers[k]: the clauses with exactly k orbits outside out_bits
+        tiers = [0] * (max(map(len, self.orbits)) + 1)
+        unsat = 0
+        for c, m in enumerate(self.masks):
+            tiers[(m & ~out_bits).bit_count()] |= 1 << c
+            if not m & in_bits:
+                unsat |= 1 << c
+        state = self._propagate(in_bits, out_bits, unsat, tiers)
         if state is not None:
-            self._node(*state)
+            # occ with the excluded orbits zeroed; members need no
+            # zeroing, as every clause holding one is hit
+            free_occ = [0 if out_bits >> i & 1 else o for i, o in enumerate(self.occ)]
+            self._node(*state, tiers, free_occ)
 
-    def _propagate(self, in_bits: int, out_bits: int):
-        # unit propagation: a clause with one live orbit forces it in
-        changed = True
-        while changed:
-            changed = False
-            for m in self.masks:
-                if m & in_bits:
-                    continue
-                avail = m & ~out_bits
-                if not avail:
-                    return None
-                if avail & (avail - 1) == 0:
-                    in_bits |= avail
-                    changed = True
-        return in_bits, out_bits
+    def _propagate(self, in_bits: int, out_bits: int, unsat: int, tiers: list[int]):
+        # an unsat clause with no orbit left fails; one with a single
+        # orbit left forces it in
+        if unsat & tiers[0]:
+            return None
+        for c in set_bits(unsat & tiers[1]):
+            i = (self.masks[c] & ~out_bits).bit_length() - 1
+            in_bits |= 1 << i
+            unsat &= ~self.occ[i]
+        return in_bits, out_bits, unsat
 
-    def _node(self, in_bits: int, out_bits: int) -> None:
+    def _node(self, in_bits: int, out_bits: int, unsat: int, tiers: list[int], free_occ: list[int]) -> None:
         self.nodes += 1
         if self.node_cap is not None and self.nodes > self.node_cap:
             raise _Stop
-        unsat = [m & ~out_bits for m in self.masks if not m & in_bits]
         size = in_bits.bit_count()
         if not unsat:
             if size < self.bound:
                 self.bound = size
                 self.best = in_bits
             return
-        if size + self._lower(unsat) >= self.bound:
+        room = self.bound - size
+        cover = list(map(int.bit_count, map(unsat.__and__, free_occ)))
+        # each new member hits at most the widest cover of clauses
+        if -(-unsat.bit_count() // max(cover)) >= room:
             return
-        # branch inside the tightest clause, on its busiest orbit,
-        # membership before exclusion
-        clause = min(unsat, key=lambda a: (a.bit_count(), a))
-        pick, pick_cover = -1, -1
-        for i in _bits(clause):
-            cover = sum(1 for a in unsat if a >> i & 1)
-            if cover > pick_cover:
-                pick, pick_cover = i, cover
-        bit = 1 << pick
-        state = self._propagate(in_bits | bit, out_bits)
-        if state is not None:
-            self._node(*state)
-        state = self._propagate(in_bits, out_bits | bit)
-        if state is not None:
-            self._node(*state)
-
-    def _lower(self, unsat) -> int:
-        # pairwise disjoint clauses each need their own new member
-        taken = 0
+        # pairwise disjoint clauses each need their own new member; take
+        # them greedily by tier, then in clause order
+        tightest = 0
+        blocked = 0
         disjoint = 0
-        for a in sorted(unsat, key=int.bit_count):
-            if not a & taken:
+        for tier in tiers:
+            cand = tier & unsat
+            if cand and not tightest:
+                tightest = cand
+            while cand := cand & ~blocked:
                 disjoint += 1
-                taken |= a
-        cover: dict[int, int] = {}
-        for a in unsat:
-            for i in _bits(a):
-                cover[i] = cover.get(i, 0) + 1
-        widest = max(cover.values())
-        return max(disjoint, -(-len(unsat) // widest))
+                if disjoint >= room:
+                    return
+                for i in self.orbits[(cand & -cand).bit_length() - 1]:
+                    blocked |= free_occ[i]
+        # branch inside the tightest clause (lowest tier, then smallest
+        # free mask), on its busiest orbit (the lowest index on a tie),
+        # membership before exclusion; excluded orbits have cover 0
+        live = ~out_bits
+        clause = min(set_bits(tightest), key=lambda c: self.masks[c] & live)
+        pick = max(self.orbits[clause], key=cover.__getitem__)
+        bit = 1 << pick
+        hit = self.occ[pick]
+        self._node(in_bits | bit, out_bits, unsat & ~hit, tiers, free_occ)
+        # excluding pick moves every clause that holds it down one tier
+        tiers = [t & ~hit | u & hit for t, u in zip(tiers, tiers[1:])] + [tiers[-1] & ~hit]
+        state = self._propagate(in_bits, out_bits | bit, unsat, tiers)
+        if state is not None:
+            free_occ = free_occ.copy()
+            free_occ[pick] = 0
+            self._node(*state, tiers, free_occ)
 
 
 def _sublattice_mask(lattice: PeriodLattice, s: int) -> int:
@@ -192,7 +216,7 @@ def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
         raise DomainTooLarge(f"domain size {n} exceeds cap {spec.cap}")
     masks = _masks(lattice)
     limit = spec.budget if spec.budget is not None else n
-    search = _Search(masks, limit, node_cap)
+    search = _Search(masks, n, limit, node_cap)
     for seed in (0, 1, 2):
         search.seed(_random_bits(lattice, masks, random.Random(seed)))
     complete = True
@@ -252,7 +276,7 @@ def _random_bits(lattice: PeriodLattice, masks, rng: random.Random) -> int:
     n = lattice.domain_size
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for m in masks:
-        for i in _bits(m):
+        for i in set_bits(m):
             by_vertex[i].append(m)
     bits = (1 << n) - 1
     order = list(range(n))
@@ -317,7 +341,15 @@ class ScanRow:
 
 
 def density_scan(family: Iterable[PeriodLattice], node_cap: int | None = None) -> List[ScanRow]:
-    """Minimum size and density per lattice, sorted sparsest first."""
+    """Minimum size and density per lattice, sorted sparsest first.
+
+    Raises DomainTooLarge before any search when a lattice of the
+    family exceeds DOMAIN_CAP.
+    """
+    family = list(family)
+    for lattice in family:
+        if lattice.domain_size > DOMAIN_CAP:
+            raise DomainTooLarge(f"domain size {lattice.domain_size} exceeds cap {DOMAIN_CAP}")
     rows = []
     for lattice in family:
         result = minimum_code(SearchSpec(lattice), node_cap=node_cap)

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hexident
+from hexident import optimize
 from hexident.cli import main
 from hexident.hexgrid import PeriodLattice
 from hexident.lemma_lab import TEMPLATES, save_template
@@ -237,6 +241,17 @@ def test_scan_csv_and_filter(capsys):
     assert out.strip().splitlines()[1:] == ["1,1,0,1,1/2,2,True"]
 
 
+def test_scan_over_cap_fails_before_any_search(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("scan searched a lattice before checking the cap")
+
+    monkeypatch.setattr(optimize, "minimum_code", never)
+    code, out, err = run(capsys, "scan", "--max-domain", "34")
+    assert code == 2
+    assert out == ""
+    assert "domain size 34 exceeds cap 32" in err
+
+
 def test_output_flag_writes_file(capsys, tmp_path, witness):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "density", "--code", witness, "--output", str(target))
@@ -255,15 +270,14 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_threads_flag_accepted(capsys, witness):
-    code, out, _ = run(capsys, "--threads", "4", "density", "--code", witness)
-    assert (code, out.strip()) == (0, "3/7")
-
-
 def test_console_entry_point(witness):
     exe = shutil.which("hexident")
     cmd = [exe] if exe else [sys.executable, "-m", "hexident.cli"]
+    # the child imports hexident from where this process found it, which
+    # under pytest's pythonpath setting is not on the inherited path
+    src = str(Path(hexident.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(cmd + ["verify", "--code", witness],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "OK density=3/7"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hexident import optimize
 from hexident.code import thin_code
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, distance
 from hexident.optimize import (
@@ -112,6 +113,119 @@ def test_search_is_deterministic():
     assert a.min_size == b.min_size
     assert a.witness.members == b.witness.members
     assert a.nodes_explored == b.nodes_explored
+
+
+# ---------------------------------------------------------------------------
+# the search against its original implementation
+
+
+def _seed_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _SeedSearch:
+    """The first implementation of optimize._Search, kept as reference:
+    propagation rescans every clause until nothing changes, and the
+    lower bound rebuilds the cover of each orbit per node.  Node counts
+    and witnesses of the search must match it exactly."""
+
+    def __init__(self, masks, n, limit, node_cap):
+        self.masks = masks
+        self.bound = limit + 1
+        self.node_cap = node_cap
+        self.best = None
+        self.nodes = 0
+
+    def seed(self, bits):
+        size = bits.bit_count()
+        if size < self.bound:
+            self.bound = size
+            self.best = bits
+
+    def run(self, in_bits, out_bits):
+        state = self._propagate(in_bits, out_bits)
+        if state is not None:
+            self._node(*state)
+
+    def _propagate(self, in_bits, out_bits):
+        changed = True
+        while changed:
+            changed = False
+            for m in self.masks:
+                if m & in_bits:
+                    continue
+                avail = m & ~out_bits
+                if not avail:
+                    return None
+                if avail & (avail - 1) == 0:
+                    in_bits |= avail
+                    changed = True
+        return in_bits, out_bits
+
+    def _node(self, in_bits, out_bits):
+        self.nodes += 1
+        if self.node_cap is not None and self.nodes > self.node_cap:
+            raise optimize._Stop
+        unsat = [m & ~out_bits for m in self.masks if not m & in_bits]
+        size = in_bits.bit_count()
+        if not unsat:
+            if size < self.bound:
+                self.bound = size
+                self.best = in_bits
+            return
+        if size + self._lower(unsat) >= self.bound:
+            return
+        clause = min(unsat, key=lambda a: (a.bit_count(), a))
+        pick, pick_cover = -1, -1
+        for i in _seed_bits(clause):
+            cover = sum(1 for a in unsat if a >> i & 1)
+            if cover > pick_cover:
+                pick, pick_cover = i, cover
+        bit = 1 << pick
+        state = self._propagate(in_bits | bit, out_bits)
+        if state is not None:
+            self._node(*state)
+        state = self._propagate(in_bits, out_bits | bit)
+        if state is not None:
+            self._node(*state)
+
+    def _lower(self, unsat):
+        taken = 0
+        disjoint = 0
+        for a in sorted(unsat, key=int.bit_count):
+            if not a & taken:
+                disjoint += 1
+                taken |= a
+        cover = {}
+        for a in unsat:
+            for i in _seed_bits(a):
+                cover[i] = cover.get(i, 0) + 1
+        widest = max(cover.values())
+        return max(disjoint, -(-len(unsat) // widest))
+
+
+def _outcome(result):
+    bits = None if result.witness is None else result.witness.bits
+    return result.min_size, result.nodes_explored, bits, result.proof_of_optimality
+
+
+@pytest.mark.parametrize(
+    "spec, node_cap",
+    [pytest.param(SearchSpec(lat), None, id=f"{lat.p},{lat.q},{lat.shear}") for lat in all_lattices(20)]
+    + [
+        pytest.param(SearchSpec(PeriodLattice(2, 2, 0), budget=2), None, id="2,2,0-budget2"),
+        pytest.param(SearchSpec(PeriodLattice(2, 2, 0), budget=4), None, id="2,2,0-budget4"),
+        pytest.param(SearchSpec(PeriodLattice(2, 7, 0)), 50, id="2,7,0-cap50"),
+        pytest.param(SearchSpec(PeriodLattice(2, 3, 1), symmetry_reduction=False), None, id="2,3,1-nosym"),
+    ],
+)
+def test_search_matches_seed_implementation(monkeypatch, spec, node_cap):
+    got = _outcome(minimum_code(spec, node_cap=node_cap))
+    monkeypatch.setattr(optimize, "_Search", _SeedSearch)
+    assert got == _outcome(minimum_code(spec, node_cap=node_cap))
 
 
 # ---------------------------------------------------------------------------
