@@ -22,9 +22,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
-from hexident.cluster import Classification, UnsupportedKind
+from hexident.cluster import Classification
 from hexident.code import PeriodicCode
 from hexident.discharge import (
     InvalidCode,
@@ -36,7 +35,7 @@ from hexident.discharge import (
     run_main,
     run_prop1,
 )
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, lattices_of_size
 from hexident.lemma_lab import (
     LEMMA_IDS,
     check_lemma,
@@ -240,10 +239,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    family = list(all_lattices(args.max_domain, p_max=args.p_max))
+    family = all_lattices(args.max_domain, p_max=args.p_max)
     if args.sizes:
-        wanted = {int(part) for part in args.sizes.split(",")}
-        family = [lat for lat in family if lat.domain_size in wanted]
+        wanted = sorted({int(part) for part in args.sizes.split(",")})
+        family = (
+            lat for size in wanted if size <= args.max_domain for lat in lattices_of_size(size, args.p_max)
+        )
     rows = density_scan(family, node_cap=args.node_cap)
     _emit(scan_csv(rows), args)
     bad = [r for r in rows if r.critical]

@@ -33,10 +33,10 @@ Labels follow the taxonomy used by the discharging engine:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from hexident.hexgrid import Vertex, ball, distance, neighbors, set_distance, sphere
+from hexident.hexgrid import Vertex, ball, distance, layers, neighbors, set_distance, sphere
 from hexident.code import PeriodicCode
 
 
@@ -212,62 +212,20 @@ class Classification:
     def cluster_distance(self, c1: Cluster, c2: Cluster) -> int:
         """Min distance between an instance of c1 and a distinct instance of c2.
 
-        Minimized over translates; c1 anchored when finite.  An infinite
-        orbit has no single instance to anchor, so with a finite c2 the
-        roles swap, and with both infinite the search runs on the
-        quotient, which is exactly the min over translates.
+        Minimized over translates: the search runs from c1.vertices (the
+        anchored instance, or the class representatives when c1 is
+        infinite) until it reaches any vertex in an orbit class of c2.
+        Orbits are translation invariant, so that is the min over
+        translates either way.  The sources never count as a hit, so for
+        c1 = c2 only other instances are reached; the instances of an
+        infinite orbit are not told apart, so that case is refused.
         """
-        if c1.infinite and not c2.infinite:
-            return self.cluster_distance(c2, c1)
-        if c1.infinite and c2.infinite:
-            if c1.cid == c2.cid:
-                raise ValueError("instances of one infinite orbit are not separable")
-            return self._quotient_distance(c1, c2)
-        lat = self.code.lattice
+        if c1.infinite and c1.cid == c2.cid:
+            raise ValueError("instances of one infinite orbit are not separable")
+        canonical = self.code.lattice.canonical
         targets = c2.classes
-        same = c1.cid == c2.cid
-
-        def hit(w: Vertex) -> bool:
-            if lat.canonical(w) not in targets:
-                return False
-            return not (same and w in c1.vertices)
-
-        seen = set(c1.vertices)
-        frontier = list(c1.vertices)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for w in neighbors(x):
-                    if w not in seen:
-                        if hit(w):
-                            return d
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        raise AssertionError("unreachable")
-
-    def _quotient_distance(self, c1: Cluster, c2: Cluster) -> int:
-        # BFS over canonical classes; quotient distance = min over translates
-        lat = self.code.lattice
-        targets = c2.classes
-        seen = set(c1.classes)
-        frontier = list(c1.classes)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for w in neighbors(x):
-                    cw = lat.canonical(w)
-                    if cw not in seen:
-                        if cw in targets:
-                            return d
-                        seen.add(cw)
-                        nxt.append(cw)
-            frontier = nxt
-        raise AssertionError("unreachable")
+        # no radius: the search ends on the first hit
+        return len(layers(c1.vertices, stop=lambda w: canonical(w) in targets)) - 1
 
     # -- shape labels ------------------------------------------------------
 

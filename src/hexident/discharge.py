@@ -33,11 +33,6 @@ class InvalidCode(ValueError):
     """The engines only run on verified identifying codes."""
 
 
-class AmbiguousDonor(AssertionError):
-    """Reserved: donor selection is deterministic, so this never fires in
-    normal operation; it exists for internal sanity assertions."""
-
-
 @dataclass(frozen=True)
 class Transfer:
     """One charge movement: vertex to vertex (rule 1) or cluster to cluster."""

@@ -7,8 +7,13 @@ s in {0, 1} picks the vertex inside the cell.  Adjacency:
     (a, b, 1) ~ (a, b, 0), (a+1, b, 0), (a, b+1, 0)
 
 which yields the 3-regular bipartite honeycomb with girth 6.  All
-distances are graph distances computed by breadth-first search; the
-scales in this package (radius <= 10) make that exact and cheap.
+distances are graph distances, and one kernel computes them: layers()
+runs a multi-source breadth-first search and returns the distance
+layers around a vertex set, up to an optional radius or until a stop
+predicate first holds.  ball, sphere, distance and set_distance are thin
+calls to it, and so are the cluster distances and the window engine's
+distance masks elsewhere in the package.  The scales in this package
+(radius <= 10) make that exact and cheap.
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the
@@ -17,9 +22,8 @@ and (shear, q) acting on cells.  Its fundamental domain holds the
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -36,75 +40,81 @@ class Vertex(NamedTuple):
     s: int
 
 
+_new = tuple.__new__
+
+
 def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The three neighbors of v, in a fixed deterministic order."""
     a, b, s = v
+    # tuple.__new__ skips the Python-level Vertex.__new__: this is the
+    # innermost call of every breadth-first search
     if s == 0:
-        return (Vertex(a, b, 1), Vertex(a - 1, b, 1), Vertex(a, b - 1, 1))
-    return (Vertex(a, b, 0), Vertex(a + 1, b, 0), Vertex(a, b + 1, 0))
+        return (_new(Vertex, (a, b, 1)), _new(Vertex, (a - 1, b, 1)), _new(Vertex, (a, b - 1, 1)))
+    return (_new(Vertex, (a, b, 0)), _new(Vertex, (a + 1, b, 0)), _new(Vertex, (a, b + 1, 0)))
 
 
 def closed_neighborhood(v: Vertex) -> tuple[Vertex, ...]:
     return (v,) + neighbors(v)
 
 
-def ball(v: Vertex, radius: int) -> set[Vertex]:
-    """All vertices at distance <= radius from v."""
-    seen = {v}
-    frontier = [v]
-    for _ in range(radius):
+def layers(
+    sources: Iterable[Vertex],
+    radius: int | None = None,
+    stop: Callable[[Vertex], bool] | None = None,
+) -> list[list[Vertex]]:
+    """Distance layers around a vertex set, by multi-source breadth-first search.
+
+    out[d] lists the vertices at distance exactly d from the sources, in
+    discovery order; out[0] holds the distinct sources.  The search ends
+    after layer radius when one is given.  With stop, it also ends at the
+    first vertex w outside the sources with stop(w) true: the last layer
+    is cut right after w, so len(out) - 1 is the distance to w.  Without
+    a radius, stop must hit somewhere, since the grid is infinite.
+    """
+    seen = set(sources)
+    frontier = list(seen)
+    out = [frontier]
+    while frontier and (radius is None or len(out) <= radius):
         nxt = []
         for u in frontier:
             for w in neighbors(u):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
+                    if stop is not None and stop(w):
+                        out.append(nxt)
+                        return out
+        out.append(nxt)
         frontier = nxt
-    return seen
+    return out
+
+
+def ball(v: Vertex, radius: int) -> set[Vertex]:
+    """All vertices at distance <= radius from v."""
+    return set().union(*layers((v,), radius))
 
 
 def sphere(v: Vertex, radius: int) -> set[Vertex]:
     """All vertices at distance exactly radius from v."""
-    if radius == 0:
-        return {v}
-    seen = {v}
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return set(frontier)
+    return set(layers((v,), radius)[-1])
+
+
+def _hit_distance(src: Iterable[Vertex], hit: Callable[[Vertex], bool], cap: int | None) -> int:
+    # src must hold no hit: the last vertex found is then a hit exactly
+    # when the search stopped on one rather than at the cap
+    out = layers(src, cap, hit)
+    return len(out) - 1 if hit(out[-1][-1]) else cap + 1
 
 
 def distance(u: Vertex, v: Vertex, cap: int | None = None) -> int:
-    """Graph distance between u and v by BFS.
+    """Graph distance between u and v.
 
     With cap set, returns cap + 1 as soon as the distance is known to
     exceed cap (the search stops instead of flooding outward).
     """
     if u == v:
         return 0
-    seen = {u}
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        if cap is not None and d > cap:
-            return cap + 1
-        nxt = []
-        for x in frontier:
-            for w in neighbors(x):
-                if w == v:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    raise AssertionError("hex grid is connected")
+    return _hit_distance((u,), v.__eq__, cap)
 
 
 def set_distance(src: Iterable[Vertex], dst: Iterable[Vertex], cap: int | None = None) -> int:
@@ -113,23 +123,7 @@ def set_distance(src: Iterable[Vertex], dst: Iterable[Vertex], cap: int | None =
     src = set(src)
     if src & dst:
         return 0
-    seen = set(src)
-    frontier = list(src)
-    d = 0
-    while frontier:
-        d += 1
-        if cap is not None and d > cap:
-            return cap + 1
-        nxt = []
-        for x in frontier:
-            for w in neighbors(x):
-                if w in dst:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    raise AssertionError("hex grid is connected")
+    return _hit_distance(src, dst.__contains__, cap)
 
 
 def faces_through(v: Vertex) -> tuple[frozenset[Vertex], ...]:
@@ -224,16 +218,23 @@ class PeriodLattice:
         return ((self.p, 0), (self.shear, self.q))
 
 
+def lattices_of_size(size: int, p_max: int | None = None) -> Iterator[PeriodLattice]:
+    """Every PeriodLattice with 2*p*q == size, ordered by p, then shear."""
+    if size % 2:
+        return
+    m = size // 2
+    for p in range(1, (m if p_max is None else min(m, p_max)) + 1):
+        if m % p == 0:
+            for shear in range(p):
+                yield PeriodLattice(p, m // p, shear)
+
+
 def all_lattices(max_domain: int, p_max: int | None = None) -> Iterator[PeriodLattice]:
     """Every PeriodLattice with 2*p*q <= max_domain, all shears.
 
     Ordered by domain size, then p, then shear, so scans are stable.
+    Lazy by size: a consumer that stops early never enumerates the larger
+    domains.
     """
-    sizes = sorted(
-        {(p * q, p, q) for p in range(1, max_domain // 2 + 1) for q in range(1, max_domain // 2 + 1) if 2 * p * q <= max_domain}
-    )
-    for _, p, q in sizes:
-        if p_max is not None and p > p_max:
-            continue
-        for shear in range(p):
-            yield PeriodLattice(p, q, shear)
+    for size in range(2, max_domain + 1, 2):
+        yield from lattices_of_size(size, p_max)

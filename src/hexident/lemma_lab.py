@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
-from .hexgrid import Vertex, neighbors, set_bits
+from .hexgrid import Vertex, ball, layers, neighbors, set_bits, sphere
 
 IN = "IN"
 OUT = "OUT"
@@ -46,6 +46,9 @@ ENUMERATION_CAP = 48
 # how far past the window the engine reasons about cluster growth; beyond
 # this margin everything is permanently unknown
 GROWTH_MARGIN = 2
+
+# the farthest grid distance any certainty rule reads
+REACH = 3
 
 _STATUS_RANK = {IN: 0, OUT: 1, UNKNOWN: 2}
 
@@ -344,36 +347,6 @@ TEMPLATES: Dict[str, Template] = {
 # the three-valued search engine
 
 
-def _grid_ball(verts: Iterable[Vertex], radius: int) -> frozenset:
-    """All vertices within the given distance of the vertex set."""
-    seen = set(verts)
-    frontier = list(seen)
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _grid_layer(verts: Iterable[Vertex], lo: int, hi: int) -> frozenset:
-    """Vertices at distance lo..hi (inclusive) from the vertex set."""
-    dist = {v: 0 for v in verts}
-    frontier = list(dist)
-    for d in range(1, hi + 1):
-        nxt = []
-        for v in frontier:
-            for w in neighbors(v):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(v for v, d in dist.items() if lo <= d <= hi)
-
-
 class _Engine:
     """Bitmask DFS over the three-valued assignments of a window.
 
@@ -409,17 +382,7 @@ class _Engine:
             else:
                 raise ValueError("bad constraint status %r" % (st,))
 
-        base = region_set | set(decided_constraints)
-        universe = set(base)
-        frontier = list(universe)
-        for _ in range(GROWTH_MARGIN):
-            nxt = []
-            for v in frontier:
-                for w in neighbors(v):
-                    if w not in universe:
-                        universe.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        universe = set().union(*layers(region_set | set(decided_constraints), GROWTH_MARGIN))
 
         self.verts: Tuple[Vertex, ...] = tuple(sorted(universe))
         self.index: Dict[Vertex, int] = dict(zip(self.verts, range(len(self.verts))))
@@ -464,23 +427,21 @@ class _Engine:
                 for t in set_bits(delta):
                     self.pairs_touching[t].append(pid)
 
-        # exact grid distances between universe vertices, up to 4
-        self.dist: Dict[Tuple[int, int], int] = {}
-        for i in range(n):
-            found = {self.verts[i]: 0}
-            frontier = [self.verts[i]]
-            for d in range(1, 5):
-                nxt = []
-                for u in frontier:
-                    for w in neighbors(u):
-                        if w not in found:
-                            found[w] = d
-                            nxt.append(w)
-                frontier = nxt
-            for w, d in found.items():
-                j = self.index.get(w)
-                if j is not None and j > i:
-                    self.dist[(i, j)] = d
+        # grid distances as masks: within[r][i] holds the universe vertices
+        # at distance <= r from vertex i, and ring2[i] those at exactly two.
+        # A shortest path may leave the universe, so the balls come from the
+        # grid: distance layers around (0, 0, s) translate to every vertex.
+        shells = [layers((Vertex(0, 0, s),), REACH) for s in (0, 1)]
+        self.within: Tuple[List[int], ...] = tuple([] for _ in range(REACH + 1))
+        for a, b, s in self.verts:
+            m = 0
+            for masks, layer in zip(self.within, shells[s]):
+                for w in layer:
+                    j = self.index.get((a + w.a, b + w.b, w.s))
+                    if j is not None:
+                        m |= 1 << j
+                masks.append(m)
+        self.ring2: List[int] = [m2 & ~m1 for m1, m2 in zip(self.within[1], self.within[2])]
 
         self.dec = 0
         self.mem = 0
@@ -504,12 +465,6 @@ class _Engine:
             )
 
     # -- state -------------------------------------------------------------
-
-    def d(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        key = (i, j) if i < j else (j, i)
-        return self.dist.get(key, 99)
 
     def decided(self, i: int) -> bool:
         return bool((self.dec >> i) & 1)
@@ -703,12 +658,19 @@ def enumerate(region, constraints=None):
 # cluster of size exactly two (the two members' identifiers would coincide).
 
 
-def _d_to(eng: _Engine, i: int, comp: Sequence[int]) -> int:
-    return min(eng.d(i, j) for j in comp)
+def _mask(idx: Iterable[int]) -> int:
+    """The bitmask of a collection of universe indices."""
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
 
 
-def _d_comps(eng: _Engine, comp_a: Sequence[int], comp_b: Sequence[int]) -> int:
-    return min(eng.d(i, j) for i in comp_a for j in comp_b)
+def _near(eng: _Engine, radius: int, comp_a: Sequence[int], comp_b: Sequence[int]) -> bool:
+    """Some vertex of comp_a lies within the given distance of comp_b."""
+    reach = eng.within[radius]
+    target = _mask(comp_b)
+    return any(reach[i] & target for i in comp_a)
 
 
 def _path_center(eng: _Engine, comp: Sequence[int]) -> Optional[int]:
@@ -776,13 +738,18 @@ def _cert_exact_open3(eng: _Engine, comp: Sequence[int]) -> bool:
 
 
 def _cert_crowded(eng: _Engine, comp: Sequence[int]) -> bool:
-    """The cluster through comp is certainly crowded IF it has exactly the
-    members of comp.  Only meaningful for callers that separately handle
-    growth (a grown cluster has four or more vertices).
+    """The cluster through comp is certainly crowded if it has exactly the
+    members of comp, and in every completion it certainly fails 'uncrowded
+    1-cluster or uncrowded open 3-cluster'.
 
     1-cluster: some neighbor u, decided OUT, has its other two neighbors
-    decided IN.  3-cluster: some member has two decided-IN vertices at
-    distance exactly two outside the component.
+    decided IN.  Staying a 1-cluster it is crowded; growing to a 3-cluster
+    it keeps both distance-two code witnesses outside itself (absorbing
+    either would need a second common neighbor, impossible at girth six),
+    so it is a crowded 3-cluster; growing further it is a 4+.  3-cluster:
+    some member has two decided-IN vertices at distance exactly two outside
+    the component.  Staying it is crowded (a witness absorbed into a grown
+    cluster means size 4+ anyway).
     """
     if len(comp) == 1:
         x = comp[0]
@@ -794,36 +761,8 @@ def _cert_crowded(eng: _Engine, comp: Sequence[int]) -> bool:
                 return True
         return False
     if len(comp) == 3:
-        comp_set = set(comp)
-        for v in comp:
-            hits = 0
-            for j in range(eng.n):
-                if j in comp_set:
-                    continue
-                if eng.d(v, j) == 2 and eng.decided(j) and eng.is_in(j):
-                    hits += 1
-                    if hits >= 2:
-                        return True
-        return False
-    return False
-
-
-def _cert_unqual_crowd(eng: _Engine, comp: Sequence[int]) -> bool:
-    """The cluster through comp certainly fails 'uncrowded 1-cluster or
-    uncrowded open 3-cluster', via crowding, in every completion.
-
-    Singleton with a crowding neighbor u (u decided OUT, u's other two
-    neighbors decided IN): staying a 1-cluster it is crowded; growing to a
-    3-cluster it keeps both distance-two code witnesses outside itself
-    (absorbing either would need a second common neighbor, impossible at
-    girth six), so it is a crowded 3-cluster; growing further it is a 4+.
-    A 3-path with two decided-IN distance-two witnesses: staying it is
-    crowded (a witness absorbed into a grown cluster means size 4+ anyway).
-    """
-    if len(comp) == 1:
-        return _cert_crowded(eng, comp)
-    if len(comp) == 3:
-        return _cert_crowded(eng, comp)
+        outside = eng.mem & ~_mask(comp)
+        return any((eng.ring2[v] & outside).bit_count() >= 2 for v in comp)
     return False
 
 
@@ -907,13 +846,13 @@ def _cert_unthreat(eng: _Engine, comp: Sequence[int], comps: Sequence[Sequence[i
     for other in comps:
         if other is comp:
             continue
-        if _cert_big(eng, other) and _d_comps(eng, comp, other) <= 3:
+        if _cert_big(eng, other) and _near(eng, 3, comp, other):
             return True
     if 2 <= len(comp) <= 3:
         for other in comps:
             if other is comp:
                 continue
-            if len(other) >= 2 and _d_comps(eng, comp, other) <= 2:
+            if len(other) >= 2 and _near(eng, 2, comp, other):
                 return True
     return False
 
@@ -949,6 +888,31 @@ class _LemmaState:
     def prune(self, eng: _Engine) -> bool:
         """Internal-node settlement: the whole subtree is fine."""
         return self.hyp_false() or self.concl_certain()
+
+    def _set_zone(self, verts) -> None:
+        """The zone where candidate clusters are counted: its universe
+        indices, their mask, and how many of its vertices lie beyond the
+        universe."""
+        eng = self.eng
+        self.zone = sorted(eng.index[v] for v in verts if v in eng.index)
+        self.zone_mask = _mask(self.zone)
+        self.zone_outside = len(verts) - len(self.zone)
+
+    def _support(self, comps) -> int:
+        """An upper bound on the candidate clusters the zone can still hold:
+        one per undecided zone vertex or zone vertex beyond the universe,
+        and one per component that meets the zone, avoids the pinned
+        clusters (anchor_mask) and is not certainly unqualified."""
+        total = self.zone_outside + (self.zone_mask & ~self.eng.dec).bit_count()
+        for comp in comps:
+            m = _mask(comp)
+            if not m & self.anchor_mask and m & self.zone_mask and not self._unqual(comp, comps):
+                total += 1
+        return total
+
+    # the cluster through comp certainly cannot be a counted candidate
+    def _unqual(self, comp, comps) -> bool:
+        raise NotImplementedError
 
 
 def _anchor_components(constraints: Mapping[Vertex, str]) -> List[Tuple[Vertex, ...]]:
@@ -990,9 +954,7 @@ def _influence_candidates(eng: _Engine, zone_idx: Sequence[int],
                     cands.add(x)
     for anchor in anchors:
         for v in anchor:
-            for j in range(eng.n):
-                if eng.d(v, j) == 2 and not eng.decided(j):
-                    cands.add(j)
+            cands.update(set_bits(eng.ring2[v] & ~eng.dec))
     dec = eng.dec
     return sorted(cands, key=lambda i: (-(eng.nbmask[i] & dec).bit_count(), i))
 
@@ -1049,13 +1011,8 @@ class _L1State(_LemmaState):
                 raise ValueError("the lone vertex's neighborhood must be pinned OUT")
         if not eng.nb_full[self.v0]:
             raise ValueError("the lone vertex's neighborhood must lie in the window")
-        ball = _grid_ball([eng.verts[self.v0]], 3)
-        self.zone = sorted(eng.index[v] for v in ball if v in eng.index)
-        self.zone_outside = len(ball) - len(self.zone)
-        self.near_mask = 0
-        for j in range(eng.n):
-            if j != self.v0 and eng.d(self.v0, j) <= 3:
-                self.near_mask |= 1 << j
+        self._set_zone(ball(eng.verts[self.v0], 3))
+        self.near_mask = eng.within[3][self.v0] & ~(1 << self.v0)
 
     def hyp_false(self) -> bool:
         return _cert_crowded(self.eng, (self.v0,))
@@ -1067,13 +1024,13 @@ class _L1State(_LemmaState):
         for comp in eng.components():
             if self.v0 in comp:
                 continue
-            if _d_to(eng, self.v0, comp) > 3:
+            if not self.near_mask & _mask(comp):
                 continue
             if len(comp) >= 4:
                 return True
             if len(comp) == 3:
                 c = _path_center(eng, comp)
-                if c is not None and eng.d(self.v0, c) <= 3:
+                if c is not None and self.near_mask >> c & 1:
                     return True
                 if _cert_big(eng, comp):
                     return True
@@ -1096,7 +1053,7 @@ class _L1State(_LemmaState):
                 if j not in comp and eng.decided(j) and eng.is_in(j):
                     ok = True  # merging makes a 4+-cluster within three
                     break
-            if not ok and eng.d(self.v0, center) <= 3:
+            if not ok and self.near_mask >> center & 1:
                 ok = True  # grown path's center in reach, open or closed
             if not ok:
                 grown = tuple(sorted(comp + (f,)))
@@ -1116,7 +1073,7 @@ class _L1State(_LemmaState):
         for comp in eng.components():
             if self.v0 in comp:
                 continue
-            if _d_to(eng, self.v0, comp) > 3:
+            if not self.near_mask & _mask(comp):
                 continue
             und, outside = eng.comp_frontier(comp)
             if und or outside:
@@ -1136,7 +1093,7 @@ class _L1State(_LemmaState):
                 )
                 if closed or undecided_w:
                     return False
-                if eng.d(self.v0, c) <= 3:
+                if self.near_mask >> c & 1:
                     return False
         return True
 
@@ -1158,13 +1115,9 @@ class _L2State(_LemmaState):
         self.center = _path_center(eng, self.anchor)
         if self.center is None:
             raise ValueError("pinned cluster is not a path")
-        shell = _grid_layer(anchor, 2, 3)
-        self.zone = sorted(eng.index[v] for v in shell if v in eng.index)
-        self.zone_outside = len(shell) - len(self.zone)
+        self._set_zone(set().union(*layers(anchor, 3)[2:]))
+        self.anchor_mask = _mask(self.anchor)
         self.w = _center_outside_nb(eng, self.anchor)
-        self.zone_mask = 0
-        for j in self.zone:
-            self.zone_mask |= 1 << j
 
     def hyp_false(self) -> bool:
         # certainly not closed: every other neighbor of the center's
@@ -1180,53 +1133,26 @@ class _L2State(_LemmaState):
                 return False
         return True
 
-    def _count_sup(self) -> int:
-        eng = self.eng
-        zone_set = set(self.zone)
-        total = self.zone_outside
-        comps = eng.components()
-        anchor_set = set(self.anchor)
-        for comp in comps:
-            if set(comp) & anchor_set:
-                continue
-            if not any(i in zone_set for i in comp):
-                continue
-            if len(comp) >= 4:
-                continue
-            if _cert_big(eng, comp):
-                continue
-            if _cert_unqual_crowd(eng, comp):
-                continue
-            total += 1
-        for i in self.zone:
-            if not eng.decided(i):
-                total += 1
-        return total
+    def _unqual(self, comp, comps) -> bool:
+        return _cert_big(self.eng, comp) or _cert_crowded(self.eng, comp)
 
     def concl_certain(self) -> bool:
         floor = (self.zone_mask & ~self.eng.dec).bit_count() + self.zone_outside
         if floor > 10:
             return False
-        u = self._count_sup()
+        u = self._support(self.eng.components())
         if u <= 9:
             return True
         return u <= 10 and _cert_crowded(self.eng, self.anchor)
 
     def refuted(self) -> bool:
         eng = self.eng
-        if self.zone_outside:
+        if self.zone_outside or self.zone_mask & ~eng.dec:
             return False
         exact = 0
-        for i in self.zone:
-            if not eng.decided(i):
-                return False
-        comps = eng.components()
-        zone_set = set(self.zone)
-        anchor_set = set(self.anchor)
-        for comp in comps:
-            if set(comp) & anchor_set:
-                continue
-            if not any(i in zone_set for i in comp):
+        for comp in eng.components():
+            m = _mask(comp)
+            if m & self.anchor_mask or not m & self.zone_mask:
                 continue
             und, outside = eng.comp_frontier(comp)
             if und or outside:
@@ -1247,7 +1173,7 @@ class _L2State(_LemmaState):
         anchor_set = set(self.anchor)
         for v in self.anchor:
             hits = 0
-            for w in _grid_layer([eng.verts[v]], 2, 2):
+            for w in sphere(eng.verts[v], 2):
                 j = eng.index.get(w)
                 if j is None:
                     return None
@@ -1292,7 +1218,7 @@ class _L2State(_LemmaState):
             return False
         comp_set = set(comp)
         for v in comp:
-            for w in _grid_layer([eng.verts[v]], 2, 2):
+            for w in sphere(eng.verts[v], 2):
                 j = eng.index.get(w)
                 if j is None:
                     return None
@@ -1304,7 +1230,38 @@ class _L2State(_LemmaState):
         return _influence_candidates(self.eng, self.zone, [self.anchor])
 
 
-class _L3State(_LemmaState):
+def _witness_mask(eng: _Engine, comp: Sequence[int]) -> int:
+    """Vertices outside comp at distance exactly two from a member: the
+    slots of the distance-two code witnesses that crowd a cluster."""
+    m = 0
+    for v in comp:
+        m |= eng.ring2[v]
+    return m & ~_mask(comp)
+
+
+class _ThreatState(_LemmaState):
+    """Base for the lemmas that count threatened 1-clusters and threatened
+    3-clusters nearby pinned clusters (L3 and L4).  center_balls are the
+    distance-three balls of the pinned centers, cluster_balls those of the
+    pinned clusters."""
+
+    center_balls: List[frozenset]
+    cluster_balls: List[frozenset]
+
+    def _unqual(self, comp, comps) -> bool:
+        eng = self.eng
+        if _cert_big(eng, comp):
+            return True
+        if _cert_crowded(eng, comp):
+            return True
+        if _cert_unthreat(eng, comp, comps):
+            return True
+        if len(comp) == 1:
+            return _singleton_geom_unqual(eng, comp[0], self.center_balls, self.cluster_balls)
+        return _comp_geom_unqual(eng, comp, self.cluster_balls)
+
+
+class _L3State(_ThreatState):
     """A needy 3-cluster has both leaves within distance three of a
     3+-cluster.  Needy: threatened, with at least four nearby threatened
     1-clusters and threatened 3-clusters."""
@@ -1320,32 +1277,14 @@ class _L3State(_LemmaState):
         if self.center is None:
             raise ValueError("pinned cluster is not a path")
         self.leaves = tuple(i for i in self.anchor if i != self.center)
-        anchor_verts = list(anchor)
-        zone_verts = _grid_ball(anchor_verts, 3) - set(anchor_verts)
-        self.zone = sorted(eng.index[v] for v in zone_verts if v in eng.index)
-        self.zone_outside = len(zone_verts) - len(self.zone)
-        self.center_ball = _grid_ball([eng.verts[self.center]], 3)
-        self.anchor_ball = _grid_ball(anchor_verts, 3)
-        self.leaf_balls = tuple(_grid_ball([eng.verts[l]], 3) for l in self.leaves)
-        self.zone_mask = 0
-        for j in self.zone:
-            self.zone_mask |= 1 << j
-        anchor_set = set(self.anchor)
-        self.d2_mask = 0
-        for v in self.anchor:
-            for j in range(eng.n):
-                if j not in anchor_set and eng.d(v, j) == 2:
-                    self.d2_mask |= 1 << j
-        self.anchor_mask = 0
-        for j in self.anchor:
-            self.anchor_mask |= 1 << j
-        self.near_masks = []
-        for l in self.leaves:
-            m = 0
-            for j in range(eng.n):
-                if j not in anchor_set and eng.d(l, j) <= 3:
-                    m |= 1 << j
-            self.near_masks.append(m)
+        around = layers(anchor, 3)
+        self._set_zone(set().union(*around[1:]))
+        self.center_balls = [ball(eng.verts[self.center], 3)]
+        self.cluster_balls = [set().union(*around)]
+        self.leaf_balls = tuple(ball(eng.verts[l], 3) for l in self.leaves)
+        self.anchor_mask = _mask(self.anchor)
+        self.d2_mask = _witness_mask(eng, self.anchor)
+        self.near_masks = [eng.within[3][l] & ~self.anchor_mask for l in self.leaves]
 
     def hyp_false(self) -> bool:
         eng = self.eng
@@ -1364,52 +1303,19 @@ class _L3State(_LemmaState):
         if (self.zone_mask & ~eng.dec).bit_count() + self.zone_outside < 4:
             if comps is None:
                 comps = eng.components()
-            return self._support_sup(comps) < 4
+            return self._support(comps) < 4
         return False
-
-    def _support_sup(self, comps) -> int:
-        eng = self.eng
-        zone_set = set(self.zone)
-        total = self.zone_outside
-        anchor_set = set(self.anchor)
-        for comp in comps:
-            if set(comp) & anchor_set:
-                continue
-            if not any(i in zone_set for i in comp):
-                continue
-            if self._support_unqual(comp, comps):
-                continue
-            total += 1
-        for i in self.zone:
-            if not eng.decided(i):
-                total += 1
-        return total
-
-    def _support_unqual(self, comp, comps) -> bool:
-        eng = self.eng
-        if len(comp) >= 4:
-            return True
-        if _cert_big(eng, comp):
-            return True
-        if _cert_unqual_crowd(eng, comp):
-            return True
-        if _cert_unthreat(eng, comp, comps):
-            return True
-        if len(comp) == 1:
-            return _singleton_geom_unqual(eng, comp[0], [self.center_ball], [self.anchor_ball])
-        return _comp_geom_unqual(eng, comp, [self.anchor_ball])
 
     def concl_certain(self) -> bool:
         eng = self.eng
-        if not eng.mem & self.near_masks[0] or not eng.mem & self.near_masks[1]:
+        near1, near2 = self.near_masks
+        if not eng.mem & near1 or not eng.mem & near2:
             return False
-        l1, l2 = self.leaves
         for comp in eng.components():
-            if set(comp) & set(self.anchor):
-                continue
             if len(comp) < 2:
                 continue
-            if _d_to(eng, l1, comp) <= 3 and _d_to(eng, l2, comp) <= 3:
+            m = _mask(comp)
+            if not m & self.anchor_mask and m & near1 and m & near2:
                 return True
         return False
 
@@ -1418,23 +1324,22 @@ class _L3State(_LemmaState):
         # every component touching either ball has to be sealed; a sealed
         # non-singleton reaching both leaves would actually qualify
         eng = self.eng
-        for ball in self.leaf_balls:
-            for v in ball:
+        for leaf_ball in self.leaf_balls:
+            for v in leaf_ball:
                 i = eng.index.get(v)
                 if i is None or not eng.decided(i):
                     return False
-        l1, l2 = self.leaves
+        near1, near2 = self.near_masks
         for comp in eng.components():
-            if set(comp) & set(self.anchor):
+            m = _mask(comp)
+            if m & self.anchor_mask:
                 continue
-            d1 = _d_to(eng, l1, comp)
-            d2 = _d_to(eng, l2, comp)
-            if d1 > 3 and d2 > 3:
+            if not m & (near1 | near2):
                 continue
             und, outside = eng.comp_frontier(comp)
             if und or outside:
                 return False
-            if len(comp) >= 2 and d1 <= 3 and d2 <= 3:
+            if len(comp) >= 2 and m & near1 and m & near2:
                 return False
         return True
 
@@ -1442,7 +1347,7 @@ class _L3State(_LemmaState):
         return _influence_candidates(self.eng, self.zone, [self.anchor])
 
 
-class _L4State(_LemmaState):
+class _L4State(_ThreatState):
     """Two paired uncrowded open 3-clusters have at most seven nearby
     threatened 1-clusters and threatened 3-clusters; exactly seven forces a
     nearby closed 3-cluster or 4+-cluster."""
@@ -1457,38 +1362,14 @@ class _L4State(_LemmaState):
         self.centers = tuple(_path_center(eng, a) for a in self.anchors)
         if any(c is None for c in self.centers):
             raise ValueError("pinned clusters must be paths")
-        for a, c in zip(anchors, self.centers):
-            leaves = [eng.index[v] for v in a if eng.index[v] != c]
-            other = [x for x in anchors if x != a][0]
-            for l in leaves:
-                dmin = min(eng.d(l, eng.index[v]) for v in other)
-                if dmin > 3:
-                    raise ValueError("pinned clusters are not paired")
-        zone_verts = set()
-        self.center_balls = []
-        self.cluster_balls = []
-        for a in anchors:
-            ball = _grid_ball(list(a), 3)
-            self.cluster_balls.append(ball)
-            zone_verts |= ball
-        for c in self.centers:
-            self.center_balls.append(_grid_ball([eng.verts[c]], 3))
-        for a in anchors:
-            zone_verts -= set(a)
-        self.zone = sorted(eng.index[v] for v in zone_verts if v in eng.index)
-        self.zone_outside = len(zone_verts) - len(self.zone)
-        self.zone_mask = 0
-        for j in self.zone:
-            self.zone_mask |= 1 << j
-        self.d2_masks = []
-        for a in self.anchors:
-            a_set = set(a)
-            m = 0
-            for v in a:
-                for j in range(eng.n):
-                    if j not in a_set and eng.d(v, j) == 2:
-                        m |= 1 << j
-            self.d2_masks.append(m)
+        for a, c, other in zip(self.anchors, self.centers, reversed(self.anchors)):
+            if any(not _near(eng, 3, (l,), other) for l in a if l != c):
+                raise ValueError("pinned clusters are not paired")
+        self.cluster_balls = [set().union(*layers(a, 3)) for a in anchors]
+        self.center_balls = [ball(eng.verts[c], 3) for c in self.centers]
+        self._set_zone(set().union(*self.cluster_balls).difference(*anchors))
+        self.anchor_mask = _mask(i for a in self.anchors for i in a)
+        self.d2_masks = [_witness_mask(eng, a) for a in self.anchors]
 
     def hyp_false(self) -> bool:
         eng = self.eng
@@ -1497,50 +1378,15 @@ class _L4State(_LemmaState):
                 return True
         return False
 
-    def _count_sup(self, comps) -> int:
-        eng = self.eng
-        zone_set = set(self.zone)
-        total = self.zone_outside
-        excluded = set()
-        for a in self.anchors:
-            excluded |= set(a)
-        for comp in comps:
-            if set(comp) & excluded:
-                continue
-            if not any(i in zone_set for i in comp):
-                continue
-            if self._unqual(comp, comps):
-                continue
-            total += 1
-        for i in self.zone:
-            if not eng.decided(i):
-                total += 1
-        return total
-
-    def _unqual(self, comp, comps) -> bool:
-        eng = self.eng
-        if len(comp) >= 4:
-            return True
-        if _cert_big(eng, comp):
-            return True
-        if _cert_unqual_crowd(eng, comp):
-            return True
-        if _cert_unthreat(eng, comp, comps):
-            return True
-        if len(comp) == 1:
-            return _singleton_geom_unqual(eng, comp[0], self.center_balls, self.cluster_balls)
-        return _comp_geom_unqual(eng, comp, self.cluster_balls)
-
     def _big_nearby_certain(self, comps) -> bool:
         eng = self.eng
         for comp in comps:
-            if any(set(comp) & set(a) for a in self.anchors):
+            if _mask(comp) & self.anchor_mask:
                 continue
             if not _cert_big(eng, comp):
                 continue
-            for a in self.anchors:
-                if _d_comps(eng, comp, a) <= 3:
-                    return True
+            if any(_near(eng, 3, comp, a) for a in self.anchors):
+                return True
         return False
 
     def concl_certain(self) -> bool:
@@ -1548,7 +1394,7 @@ class _L4State(_LemmaState):
         if floor > 7:
             return False
         comps = self.eng.components()
-        u = self._count_sup(comps)
+        u = self._support(comps)
         if u <= 6:
             return True
         return u <= 7 and self._big_nearby_certain(comps)
@@ -1632,7 +1478,7 @@ def _radius_window(lemma_id: str, radius: int) -> Template:
         for v, st in TEMPLATES["fig5"].constraints().items():
             pin(Vertex(v.a + da, v.b + db, v.s), st)
         core = [v for v, st in rows.items() if st == IN]
-    region = sorted(_grid_ball(core, radius))
+    region = sorted(set().union(*layers(core, radius)))
     lines = []
     for v in region:
         lines.append((v, rows.get(v, UNKNOWN)))
@@ -1863,7 +1709,7 @@ def _max_matching(shell: frozenset, blocked: frozenset) -> int:
 
 
 def _shell_bound(verts: frozenset) -> Tuple[int, int]:
-    shell = _grid_layer(verts, 2, 3)
+    shell = frozenset().union(*layers(verts, 3)[2:])
     forced = _forced_singletons(verts, shell)
     matching = _max_matching(shell, forced)
     return len(shell), len(shell) - matching

@@ -344,14 +344,16 @@ def density_scan(family: Iterable[PeriodLattice], node_cap: int | None = None) -
     """Minimum size and density per lattice, sorted sparsest first.
 
     Raises DomainTooLarge before any search when a lattice of the
-    family exceeds DOMAIN_CAP.
+    family exceeds DOMAIN_CAP.  The family is read only up to the first
+    such lattice, so a lazy size-ordered family stops right there.
     """
-    family = list(family)
+    lattices = []
     for lattice in family:
         if lattice.domain_size > DOMAIN_CAP:
             raise DomainTooLarge(f"domain size {lattice.domain_size} exceeds cap {DOMAIN_CAP}")
+        lattices.append(lattice)
     rows = []
-    for lattice in family:
+    for lattice in lattices:
         result = minimum_code(SearchSpec(lattice), node_cap=node_cap)
         density = None if result.witness is None else result.witness.density()
         rows.append(

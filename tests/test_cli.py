@@ -250,6 +250,11 @@ def test_scan_over_cap_fails_before_any_search(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "domain size 34 exceeds cap 32" in err
+    # huge domains fail as fast: lattices are enumerated lazily by size
+    for args, size in ((["--max-domain", "40000"], 34), (["--max-domain", "40000", "--sizes", "40000,12"], 40000)):
+        code, out, err = run(capsys, "scan", *args)
+        assert (code, out) == (2, "")
+        assert f"domain size {size} exceeds cap 32" in err
 
 
 def test_output_flag_writes_file(capsys, tmp_path, witness):

@@ -8,7 +8,7 @@ classification does not require validity.
 import json
 import random
 
-from hexident.hexgrid import PeriodLattice, Vertex, neighbors
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, neighbors
 from hexident.code import PeriodicCode
 from hexident.cluster import Classification, Instance, UnsupportedKind, clusters
 
@@ -209,6 +209,64 @@ def test_report_deterministic():
     r1 = json.dumps(Classification(code).report(), sort_keys=True)
     r2 = json.dumps(Classification(code).report(), sort_keys=True)
     assert r1 == r2
+
+
+def _reference_cluster_distance(cls, c1, c2):
+    """cluster_distance as first written: a grid search from a finite c1's
+    anchored instance, roles swapped when only c1 is infinite, and a search
+    over orbit classes (the quotient graph) when both are infinite."""
+    lat = cls.code.lattice
+    if c1.infinite and not c2.infinite:
+        c1, c2 = c2, c1
+    if c1.infinite:
+        seen = set(c1.classes)
+        frontier = list(c1.classes)
+        d = 0
+        while True:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for w in neighbors(x):
+                    cw = lat.canonical(w)
+                    if cw not in seen:
+                        if cw in c2.classes:
+                            return d
+                        seen.add(cw)
+                        nxt.append(cw)
+            frontier = nxt
+    seen = set(c1.vertices)
+    frontier = list(c1.vertices)
+    d = 0
+    while True:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for w in neighbors(x):
+                if w not in seen:
+                    if lat.canonical(w) in c2.classes:
+                        return d
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+
+
+def test_cluster_distance_matches_reference_on_random_codes():
+    rng = random.Random(20261018)
+    lattices = list(all_lattices(40))
+    infinite_pairs = 0
+    for _ in range(400):
+        lat = rng.choice(lattices)
+        members = frozenset(v for v in lat.domain() if rng.random() < 0.55)
+        if not members:
+            continue
+        cls = Classification(PeriodicCode(lat, members))
+        for c1 in cls.clusters:
+            for c2 in cls.clusters:
+                if c1.infinite and c1.cid == c2.cid:
+                    continue
+                infinite_pairs += c1.infinite and c2.infinite
+                assert cls.cluster_distance(c1, c2) == _reference_cluster_distance(cls, c1, c2)
+    assert infinite_pairs >= 50
 
 
 def test_random_codes_partition_and_maximality():

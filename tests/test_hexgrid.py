@@ -11,6 +11,8 @@ from hexident.hexgrid import (
     closed_neighborhood,
     distance,
     faces_through,
+    layers,
+    lattices_of_size,
     neighbors,
     set_distance,
     share_face,
@@ -163,3 +165,68 @@ def test_all_lattices_counts():
     doms = [l.domain_size for l in lats]
     assert doms == sorted(doms)
     assert all(l.domain_size <= 12 for l in lats)
+
+
+def _double_loop_lattices(max_domain, p_max=None):
+    # the original enumeration: every (p, q) pair up to max_domain/2, sorted
+    sizes = sorted(
+        {(p * q, p, q) for p in range(1, max_domain // 2 + 1) for q in range(1, max_domain // 2 + 1) if 2 * p * q <= max_domain}
+    )
+    for _, p, q in sizes:
+        if p_max is not None and p > p_max:
+            continue
+        for shear in range(p):
+            yield PeriodLattice(p, q, shear)
+
+
+def test_all_lattices_matches_double_loop():
+    for n in range(65):
+        assert list(all_lattices(n)) == list(_double_loop_lattices(n))
+    for p_max in (1, 3, 7):
+        assert list(all_lattices(40, p_max)) == list(_double_loop_lattices(40, p_max))
+
+
+def test_lattices_of_size_partitions_all_lattices():
+    lats = list(all_lattices(48, p_max=5))
+    assert [lat for size in range(49) for lat in lattices_of_size(size, 5)] == lats
+    assert list(lattices_of_size(7)) == []
+
+
+def test_all_lattices_is_lazy_for_huge_domains():
+    first = next(l for l in all_lattices(10**9) if l.domain_size > 32)
+    assert first == PeriodLattice(1, 17)
+    assert next(lattices_of_size(10**9)) == PeriodLattice(1, 5 * 10**8)
+
+
+def _reference_layers(sources, radius):
+    # plain breadth-first distances, kept apart from the kernel under test
+    dist = {v: 0 for v in sources}
+    frontier = list(dist)
+    for d in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return [{v for v, d in dist.items() if d == k} for k in range(radius + 1)]
+
+
+@given(st.lists(verts, min_size=1, max_size=4), st.integers(0, 4))
+def test_layers_match_reference_bfs(sources, radius):
+    got = layers(sources, radius)
+    assert [set(layer) for layer in got] == _reference_layers(sources, radius)
+    assert sum(len(layer) for layer in got) == len(set().union(*got))
+
+
+@given(st.lists(verts, min_size=1, max_size=3), st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 1))
+def test_layers_stop_at_first_hit(sources, da, db, s):
+    target = Vertex(sources[0].a + da, sources[0].b + db, s)
+    if target in sources:
+        return
+    out = layers(sources, stop=target.__eq__)
+    assert out[-1][-1] == target
+    ref = _reference_layers(sources, len(out) - 1)
+    assert target in ref[-1]
+    assert [set(layer) for layer in out[:-1]] == ref[:-1]

@@ -10,7 +10,8 @@ import functools
 
 import pytest
 
-from hexident.hexgrid import Vertex, distance, neighbors
+from hexident.hexgrid import Vertex, layers, neighbors
+from hexident import hexgrid
 from hexident.cluster import Cluster, UnsupportedKind
 from hexident import lemma_lab as ll
 from hexident.lemma_lab import (
@@ -33,7 +34,12 @@ from hexident.lemma_lab import (
 
 
 def ball(center, radius):
-    return sorted(ll._grid_ball([center], radius))
+    return sorted(hexgrid.ball(center, radius))
+
+
+def shell(shape):
+    """Vertices at distance two or three from the shape."""
+    return frozenset().union(*layers(shape, 3)[2:])
 
 
 V0 = Vertex(0, 0, 1)
@@ -93,14 +99,14 @@ def test_interior_always_decided():
 
 
 def test_region_cap():
-    big = sorted(ll._grid_ball([V0], 6))
+    big = ball(V0, 6)
     assert len(big) > ll.ENUMERATION_CAP
     with pytest.raises(RegionTooLarge):
         list(ll.enumerate(big))
 
 
 def test_pinned_vertices_do_not_count_against_cap():
-    big = sorted(ll._grid_ball([V0], 6))
+    big = ball(V0, 6)
     pins = {v: IN for v in big[: len(big) - 10]}
     list(ll.enumerate(big, pins))  # must not raise
 
@@ -220,6 +226,72 @@ def test_verdict_json_round_trips():
     assert back["result"] == VERIFIED
 
 
+# verdict, settled window assignments and engine search nodes of the default
+# windows and of the capped paired windows; a change to the engine or to a
+# certainty rule that moves any of them has changed what the checker does
+_PINNED_COUNTS = [
+    ("L1", None, None, VERIFIED, 5, 9),
+    ("L2", None, None, VERIFIED, 23793, 47585),
+    ("L3", None, None, VERIFIED, 511, 1021),
+    ("L4", "fig5", 500, INCONCLUSIVE, 242, 501),
+    ("L4", "fig6", 500, INCONCLUSIVE, 243, 501),
+]
+
+
+@pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes", _PINNED_COUNTS)
+def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes):
+    searched = []
+    search = ll._Engine.search
+
+    def counted(eng, *args, **kwargs):
+        before = eng.nodes
+        search(eng, *args, **kwargs)
+        searched.append(eng.nodes - before)
+
+    monkeypatch.setattr(ll._Engine, "search", counted)
+    v = check_lemma(lemma_id, template=template, node_cap=node_cap)
+    assert (v.result, v.configs_explored, searched) == (result, settled, [nodes])
+
+
+def _reference_distances(eng):
+    """The pairwise grid-distance table the engine once kept: a
+    breadth-first search to depth four from every universe vertex, keyed by
+    index pairs (i, j) with i < j; farther pairs are absent."""
+    table = {}
+    for i, v in enumerate(eng.verts):
+        found = {v: 0}
+        frontier = [v]
+        for d in range(1, 5):
+            nxt = []
+            for u in frontier:
+                for w in neighbors(u):
+                    if w not in found:
+                        found[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for w, d in found.items():
+            j = eng.index.get(w)
+            if j is not None and j > i:
+                table[(i, j)] = d
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_engine_distance_masks_match_reference_table(name):
+    tpl = TEMPLATES[name]
+    eng = ll._Engine(tpl.region(), tpl.constraints())
+    table = _reference_distances(eng)
+
+    def d(i, j):
+        return 0 if i == j else table.get((min(i, j), max(i, j)), 99)
+
+    for i in range(eng.n):
+        for j in range(eng.n):
+            for r in range(ll.REACH + 1):
+                assert bool(eng.within[r][i] >> j & 1) == (d(i, j) <= r)
+            assert bool(eng.ring2[i] >> j & 1) == (d(i, j) == 2)
+
+
 # ---------------------------------------------------------------------------
 # the decided-only refutation path
 
@@ -239,7 +311,7 @@ _SINGLES = (
 
 
 def _dense_window():
-    region = sorted(ll._grid_ball([_ANCHOR[0]], 3) | ll._grid_ball([_ANCHOR[2]], 3))
+    region = sorted(hexgrid.ball(_ANCHOR[0], 3) | hexgrid.ball(_ANCHOR[2], 3))
     code = set(_ANCHOR) | set(_SINGLES)
     return Template(
         "dense", tuple((v, IN if v in code else OUT) for v in region)
@@ -351,8 +423,7 @@ def test_shell_bound_pinned_closed_cluster():
 def test_shell_forced_singletons_for_pinned_cluster():
     comps = ll._anchor_components(TEMPLATES["fig3b"].constraints())
     shape = frozenset(next(c for c in comps if len(c) == 3))
-    shell = ll._grid_layer(shape, 2, 3)
-    forced = ll._forced_singletons(shape, shell)
+    forced = ll._forced_singletons(shape, shell(shape))
     assert forced == {Vertex(-1, 3, 0), Vertex(2, 3, 0)}
 
 
@@ -394,11 +465,11 @@ def _exact_min_parts(shape, shell, forced):
 )
 def test_shell_bound_matches_exact_cover(verts):
     shape = frozenset(Vertex(*t) for t in verts)
-    shell = ll._grid_layer(shape, 2, 3)
-    forced = ll._forced_singletons(shape, shell)
+    around = shell(shape)
+    forced = ll._forced_singletons(shape, around)
     size, parts = ll._shell_bound(shape)
-    assert size == len(shell)
-    assert parts == _exact_min_parts(shape, shell, forced)
+    assert size == len(around)
+    assert parts == _exact_min_parts(shape, around, forced)
 
 
 def test_partition_sweep_small_sizes():

@@ -279,6 +279,22 @@ def test_scan_empty_family_is_empty():
     assert density_scan([]) == []
 
 
+def test_scan_stops_at_first_over_cap_lattice(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("searched before the whole family was checked against the cap")
+
+    def family():
+        yield PeriodLattice(2, 2)
+        yield PeriodLattice(17, 1)
+        raise AssertionError("family pulled past the first over-cap lattice")
+
+    monkeypatch.setattr(optimize, "minimum_code", never)
+    with pytest.raises(DomainTooLarge):
+        density_scan(family())
+    with pytest.raises(DomainTooLarge):
+        density_scan(all_lattices(10**9))
+
+
 def test_scan_reaches_best_known_density():
     rows = density_scan([PeriodLattice(7, 1, s) for s in range(7)])
     best = rows[0].density
