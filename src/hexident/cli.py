@@ -269,33 +269,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, fractions=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--approx", action="store_true",
-                       help="print floats instead of exact fractions")
+        if fractions:
+            p.add_argument("--approx", action="store_true",
+                           help="print floats instead of exact fractions")
         p.add_argument("--output", help="write the report here instead of stdout")
         return p
 
-    p = add("verify", _cmd_verify, help="check a code file for the identifying property")
+    p = add("verify", _cmd_verify, fractions=True, help="check a code file for the identifying property")
     p.add_argument("--code", required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = add("density", _cmd_density, help="print the density of a code file")
+    p = add("density", _cmd_density, fractions=True, help="print the density of a code file")
     p.add_argument("--code", required=True)
 
     p = add("classify", _cmd_classify, help="report clusters and their labels")
     p.add_argument("--code", required=True)
     p.add_argument("--format", choices=["text", "json"], default="json")
 
-    p = add("discharge", _cmd_discharge, help="run a charge ledger and audit it")
+    p = add("discharge", _cmd_discharge, fractions=True, help="run a charge ledger and audit it")
     p.add_argument("--code", required=True)
     p.add_argument("--engine", choices=["prop1", "main"], default="main")
     p.add_argument("--bound", type=_parse_bound, default=None,
                    help="audit bound as num/den; defaults to the engine target")
     p.add_argument("--format", choices=["text", "json"], default="json")
 
-    p = add("outflow", _cmd_outflow, help="total charge leaving one cluster")
+    p = add("outflow", _cmd_outflow, fractions=True, help="total charge leaving one cluster")
     p.add_argument("--code", required=True)
     p.add_argument("--at", type=_parse_vertex, required=True,
                    help="a code vertex of the cluster, as a,b,s")
@@ -313,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="a code vertex of the cluster, as a,b,s")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = add("search", _cmd_search, help="minimum code for one period")
+    p = add("search", _cmd_search, fractions=True, help="minimum code for one period")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--shear", type=int, default=0)

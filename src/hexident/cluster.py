@@ -113,8 +113,7 @@ class Classification:
         for rep in lat.domain():
             if rep not in code.members or rep in assigned:
                 continue
-            classes = self._quotient_component(rep)
-            inst = self._materialize(rep, classes)
+            classes, inst = self._component(rep)
             cid = len(self.clusters)
             if inst is None:
                 cluster = Cluster(cid, frozenset(classes), frozenset(classes), True)
@@ -127,43 +126,34 @@ class Classification:
                 self._class_to_cid[cls] = cid
             assigned |= classes
 
-    def _quotient_component(self, rep: Vertex) -> set[Vertex]:
-        lat = self.code.lattice
-        seen = {rep}
-        queue = deque([rep])
-        while queue:
-            u = queue.popleft()
-            for w in neighbors(u):
-                c = lat.canonical(w)
-                if c in self.code.members and c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return seen
+    def _component(self, rep: Vertex) -> tuple[set[Vertex], set[Vertex] | None]:
+        """The orbit classes of rep's component, and its instance through
+        rep, or None when the component is infinite.
 
-    def _materialize(self, rep: Vertex, classes: set[Vertex]):
-        """BFS in infinite coordinates; None when the component is infinite.
-
-        A component is infinite exactly when it reaches two distinct
-        vertices in one orbit class (it then joins a vertex to a
-        nontrivial translate of itself); pigeonhole bounds the BFS by
-        |classes| + 1 vertices either way.
+        One breadth-first search in infinite coordinates that expands one
+        vertex per orbit class: translates have translated neighbors, so
+        that reaches every class of the component.  The component is
+        infinite exactly when it reaches two distinct vertices in one class
+        (it then joins a vertex to a nontrivial translate of itself).
         """
         lat = self.code.lattice
-        by_class = {lat.canonical(rep): rep}
+        members = self.code.members
+        by_class = {rep: rep}
+        infinite = False
         queue = deque([rep])
         while queue:
             u = queue.popleft()
             for w in neighbors(u):
-                if not self.code.contains(w):
-                    continue
                 c = lat.canonical(w)
+                if c not in members:
+                    continue
                 prev = by_class.get(c)
                 if prev is None:
                     by_class[c] = w
                     queue.append(w)
                 elif prev != w:
-                    return None
-        return set(by_class.values())
+                    infinite = True
+        return set(by_class), None if infinite else set(by_class.values())
 
     # -- instances --------------------------------------------------------
 

@@ -214,9 +214,6 @@ class PeriodLattice:
         a, b, s = v
         return Vertex(a + k1 * self.p + k2 * self.shear, b + k2 * self.q, s)
 
-    def translations(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.p, 0), (self.shear, self.q))
-
 
 def lattices_of_size(size: int, p_max: int | None = None) -> Iterator[PeriodLattice]:
     """Every PeriodLattice with 2*p*q == size, ordered by p, then shear."""

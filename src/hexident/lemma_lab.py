@@ -27,10 +27,10 @@ INCONCLUSIVE means neither: some window left the conclusion open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
-from .hexgrid import Vertex, ball, layers, neighbors, set_bits, sphere
+from .hexgrid import Vertex, ball, layers, neighbors, set_bits
 
 IN = "IN"
 OUT = "OUT"
@@ -347,6 +347,27 @@ TEMPLATES: Dict[str, Template] = {
 # the three-valued search engine
 
 
+class _Comp(NamedTuple):
+    """The geometry of a decided-IN component in the engine's universe.
+
+    Every field is fixed by the members alone, so one record serves every
+    search state in which the component appears.  The masks are universe
+    index bitmasks; the certainty rules combine them with the engine's
+    decided and IN masks.
+    """
+
+    members: Tuple[int, ...]  # sorted universe indices
+    mask: int
+    center: Optional[int]  # the middle vertex of a 3-path (girth six), else None
+    shut: int  # the center's outside neighbor's other in-universe neighbors
+    closable: bool  # that outside neighbor has its whole neighborhood in the universe
+    rim: int  # in-universe neighbors outside the component: the frontier
+    edge: bool  # some member has a neighbor beyond the universe
+    reach2: int  # universe vertices within distance two
+    reach3: int  # universe vertices within distance three
+    witness: Tuple[int, ...]  # per member: the distance-two slots outside the component
+
+
 class _Engine:
     """Bitmask DFS over the three-valued assignments of a window.
 
@@ -442,6 +463,10 @@ class _Engine:
                         m |= 1 << j
                 masks.append(m)
         self.ring2: List[int] = [m2 & ~m1 for m1, m2 in zip(self.within[1], self.within[2])]
+
+        self._records: Dict[Tuple[int, ...], _Comp] = {}
+        self._comps: List[_Comp] = []
+        self._comps_mem: Optional[int] = None
 
         self.dec = 0
         self.mem = 0
@@ -597,39 +622,58 @@ class _Engine:
 
     # -- decided components ------------------------------------------------
 
-    def components(self) -> List[Tuple[int, ...]]:
-        """Decided-IN components of the universe, each sorted, in order."""
-        comps = []
-        seen = 0
-        mem = self.mem
-        for i in set_bits(mem):
-            if (seen >> i) & 1:
-                continue
-            stack = [i]
-            comp = []
-            seen |= 1 << i
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.nb_in[u]:
-                    if (mem >> w) & 1 and not (seen >> w) & 1:
-                        seen |= 1 << w
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+    def components(self) -> List[_Comp]:
+        """Decided-IN components of the universe, ordered by least member.
 
-    def comp_frontier(self, comp: Sequence[int]) -> Tuple[List[int], bool]:
-        """(undecided in-universe neighbors, has a neighbor beyond the universe)."""
-        und = set()
-        outside = False
-        comp_set = set(comp)
-        for i in comp:
-            if not self.nb_full[i]:
-                outside = True
-            for j in self.nb_in[i]:
-                if j not in comp_set and not self.decided(j):
-                    und.add(j)
-        return sorted(und), outside
+        The list is reused while the IN mask is unchanged; callers must not
+        modify it.
+        """
+        if self._comps_mem != self.mem:
+            comps = []
+            rest = self.mem
+            while rest:
+                comp = grow = rest & -rest
+                while grow:
+                    reach = 0
+                    for i in set_bits(grow):
+                        reach |= self.nbmask[i]
+                    grow = reach & rest & ~comp
+                    comp |= grow
+                rest &= ~comp
+                comps.append(self.comp(tuple(set_bits(comp))))
+            self._comps = comps
+            self._comps_mem = self.mem
+        return self._comps
+
+    def comp(self, members: Tuple[int, ...]) -> _Comp:
+        """The record of a connected set of universe indices, given sorted;
+        records are kept for the engine's lifetime."""
+        rec = self._records.get(members)
+        if rec is not None:
+            return rec
+        mask = _mask(members)
+        rim = reach2 = reach3 = 0
+        for i in members:
+            rim |= self.nbmask[i]
+            reach2 |= self.within[2][i]
+            reach3 |= self.within[3][i]
+        center = None
+        shut = 0
+        closable = False
+        if len(members) == 3:
+            # the member adjacent to both others (its closed neighborhood
+            # holds all three)
+            center = next(i for i in members if (self.nbmask[i] & mask).bit_count() == 3)
+            if self.nb_full[center]:
+                w = (self.nbmask[center] & ~mask).bit_length() - 1
+                shut = self.nbmask[w] & ~(1 << w | 1 << center)
+                closable = self.nb_full[w]
+        rec = self._records[members] = _Comp(
+            members, mask, center, shut, closable, rim & ~mask,
+            not all(self.nb_full[i] for i in members), reach2, reach3,
+            tuple(self.ring2[i] & ~mask for i in members),
+        )
+        return rec
 
 
 def enumerate(region, constraints=None):
@@ -666,80 +710,37 @@ def _mask(idx: Iterable[int]) -> int:
     return m
 
 
-def _near(eng: _Engine, radius: int, comp_a: Sequence[int], comp_b: Sequence[int]) -> bool:
-    """Some vertex of comp_a lies within the given distance of comp_b."""
-    reach = eng.within[radius]
-    target = _mask(comp_b)
-    return any(reach[i] & target for i in comp_a)
+def _sealed(eng: _Engine, c: _Comp) -> bool:
+    """No completion can grow the component: its frontier is decided OUT
+    and lies inside the universe."""
+    return not c.edge and not c.rim & ~eng.dec
 
 
-def _path_center(eng: _Engine, comp: Sequence[int]) -> Optional[int]:
-    """The middle vertex of a size-3 component (always a path: girth six)."""
-    if len(comp) != 3:
-        return None
-    comp_set = set(comp)
-    for i in comp:
-        if sum(1 for j in eng.nb_in[i] if j in comp_set) == 2:
-            return i
-    return None
+def _closed(eng: _Engine, c: _Comp) -> bool:
+    """Certainly closed while it stays a 3-path: the center's outside
+    neighbor w has a second neighbor decided IN."""
+    return c.closable and bool(c.shut & eng.mem)
 
 
-def _center_outside_nb(eng: _Engine, comp: Sequence[int]) -> Optional[int]:
-    """The third neighbor of a 3-path's center, or None if unusable."""
-    c = _path_center(eng, comp)
-    if c is None or not eng.nb_full[c]:
-        return None
-    comp_set = set(comp)
-    for j in eng.nb_in[c]:
-        if j not in comp_set:
-            return j
-    return None
+def _open(eng: _Engine, c: _Comp) -> bool:
+    """Certainly open while it stays a 3-path: every other neighbor of the
+    center's outside neighbor w is decided OUT."""
+    return c.closable and not c.shut & (eng.mem | ~eng.dec)
 
 
-def _cert_big(eng: _Engine, comp: Sequence[int]) -> bool:
+def _cert_big(eng: _Engine, c: _Comp) -> bool:
     """Certainly a closed 3-cluster or a 4+-cluster in every completion.
 
-    Size four or more is immediate.  For a 3-path, let w be the center's
-    outside neighbor: if some other neighbor of w is decided IN, then
-    either the cluster stays at three (then w keeps that code neighbor, so
-    the cluster is closed) or it grows (then it is a 4+-cluster).
+    Size four or more is immediate.  A closed 3-path either stays at three
+    (then w keeps its other code neighbor, so the cluster is closed) or
+    grows (then it is a 4+-cluster).
     """
-    if len(comp) >= 4:
-        return True
-    if len(comp) == 3:
-        w = _center_outside_nb(eng, comp)
-        if w is None or not eng.nb_full[w]:
-            return False
-        c = _path_center(eng, comp)
-        for x in eng.nb_in[w]:
-            if x != c and eng.decided(x) and eng.is_in(x):
-                return True
-    return False
+    return len(c.members) >= 4 or _closed(eng, c)
 
 
-def _cert_exact_open3(eng: _Engine, comp: Sequence[int]) -> bool:
-    """Certainly an open 3-cluster, exactly: sealed, with the center's
-    outside neighbor's other neighbors all decided OUT."""
-    if len(comp) != 3:
-        return False
-    und, outside = eng.comp_frontier(comp)
-    if und or outside:
-        return False
-    w = _center_outside_nb(eng, comp)
-    if w is None or not eng.nb_full[w]:
-        return False
-    c = _path_center(eng, comp)
-    for x in eng.nb_in[w]:
-        if x == c:
-            continue
-        if not eng.decided(x) or eng.is_in(x):
-            return False
-    return True
-
-
-def _cert_crowded(eng: _Engine, comp: Sequence[int]) -> bool:
-    """The cluster through comp is certainly crowded if it has exactly the
-    members of comp, and in every completion it certainly fails 'uncrowded
+def _cert_crowded(eng: _Engine, c: _Comp) -> bool:
+    """The cluster through c is certainly crowded if it has exactly the
+    members of c, and in every completion it certainly fails 'uncrowded
     1-cluster or uncrowded open 3-cluster'.
 
     1-cluster: some neighbor u, decided OUT, has its other two neighbors
@@ -751,18 +752,14 @@ def _cert_crowded(eng: _Engine, comp: Sequence[int]) -> bool:
     the component.  Staying it is crowded (a witness absorbed into a grown
     cluster means size 4+ anyway).
     """
-    if len(comp) == 1:
-        x = comp[0]
-        for u in eng.nb_in[x]:
-            if not eng.decided(u) or eng.is_in(u) or not eng.nb_full[u]:
-                continue
-            others = [j for j in eng.nb_in[u] if j != x]
-            if len(others) == 2 and all(eng.decided(j) and eng.is_in(j) for j in others):
+    if len(c.members) == 1:
+        for u in set_bits(c.rim & eng.dec & ~eng.mem):
+            others = eng.nbmask[u] & ~(1 << u | c.mask)
+            if eng.nb_full[u] and not others & ~eng.mem:
                 return True
         return False
-    if len(comp) == 3:
-        outside = eng.mem & ~_mask(comp)
-        return any((eng.ring2[v] & outside).bit_count() >= 2 for v in comp)
+    if len(c.members) == 3:
+        return any((slots & eng.mem).bit_count() >= 2 for slots in c.witness)
     return False
 
 
@@ -797,7 +794,7 @@ def _singleton_geom_unqual(eng: _Engine, x: int, center_balls, cluster_balls) ->
     return True
 
 
-def _comp_geom_unqual(eng: _Engine, comp: Sequence[int], cluster_balls) -> bool:
+def _comp_geom_unqual(eng: _Engine, c: _Comp, cluster_balls) -> bool:
     """A size-2 or size-3 component that can never count as a nearby
     threatened 3-cluster, by position alone.  A 3-cluster's leaves are the
     ends of its path; staying at three keeps them fixed, and growing gives
@@ -805,17 +802,14 @@ def _comp_geom_unqual(eng: _Engine, comp: Sequence[int], cluster_balls) -> bool:
     appends one vertex next to either end, so the possible leaf pairs are
     known; if none lands both leaves in a single pinned cluster's ball, no
     completion counts."""
-    if len(comp) == 3:
-        c = _path_center(eng, comp)
-        if c is None:
-            return False
-        ends = [eng.verts[i] for i in comp if i != c]
+    if len(c.members) == 3:
+        ends = [eng.verts[i] for i in c.members if i != c.center]
         for ball in cluster_balls:
             if ends[0] in ball and ends[1] in ball:
                 return False
         return True
-    if len(comp) == 2:
-        for m, other in (comp, tuple(reversed(comp))):
+    if len(c.members) == 2:
+        for m, other in (c.members, c.members[::-1]):
             far = eng.verts[other]
             for w in neighbors(eng.verts[m]):
                 j = eng.index.get(w)
@@ -828,33 +822,27 @@ def _comp_geom_unqual(eng: _Engine, comp: Sequence[int], cluster_balls) -> bool:
     return False
 
 
-def _cert_unthreat(eng: _Engine, comp: Sequence[int], comps: Sequence[Sequence[int]]) -> bool:
-    """The cluster through comp is certainly not threatened, whatever its
+def _cert_unthreat(eng: _Engine, c: _Comp, comps: Sequence[_Comp]) -> bool:
+    """The cluster through c is certainly not threatened, whatever its
     final size.
 
     A component that is certainly closed-or-4+ within distance three kills
     threatened-ness of both candidate kinds: a 1-cluster would be within
     three of a 4+-cluster or nearby an unthreatened (closed) 3-cluster; an
     open 3-cluster would have a closed 3-cluster or 4+-cluster within
-    distance three.  When comp cannot end up a 1-cluster (size two or
-    three), any other component of size two or more within distance two
-    also kills it: a bare pair is never a cluster (the two would share an
-    identifier), so the other's cluster lands as an open 3-cluster within
-    two, as a closed 3-cluster or 4+-cluster within three, or merges with
-    comp's own cluster into an unqualifying 4+-cluster.
+    distance three.  When c cannot end up a 1-cluster (size two or three),
+    any other component of size two or more within distance two also kills
+    it: a bare pair is never a cluster (the two would share an identifier),
+    so the other's cluster lands as an open 3-cluster within two, as a
+    closed 3-cluster or 4+-cluster within three, or merges with c's own
+    cluster into an unqualifying 4+-cluster.
     """
-    for other in comps:
-        if other is comp:
-            continue
-        if _cert_big(eng, other) and _near(eng, 3, comp, other):
-            return True
-    if 2 <= len(comp) <= 3:
-        for other in comps:
-            if other is comp:
-                continue
-            if len(other) >= 2 and _near(eng, 2, comp, other):
-                return True
-    return False
+    others = [o for o in comps if o is not c]
+    if any(c.reach3 & o.mask and _cert_big(eng, o) for o in others):
+        return True
+    return 2 <= len(c.members) <= 3 and any(
+        len(o.members) >= 2 and c.reach2 & o.mask for o in others
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -862,12 +850,15 @@ def _cert_unthreat(eng: _Engine, comp: Sequence[int], comps: Sequence[Sequence[i
 
 
 class _LemmaState:
-    """Base for per-lemma evaluation over engine states."""
+    """Base for per-lemma evaluation over engine states.  anchors are the
+    records of the pinned clusters, given as sorted vertex tuples."""
 
     lemma_id = ""
 
-    def __init__(self, eng: _Engine):
+    def __init__(self, eng: _Engine, anchors: Sequence[Tuple[Vertex, ...]]):
         self.eng = eng
+        self.anchors = tuple(eng.comp(tuple(eng.index[v] for v in a)) for a in anchors)
+        self.anchor_mask = _mask(i for a in self.anchors for i in a.members)
 
     # hypothesis certainly false on the current (partial) assignment
     def hyp_false(self) -> bool:
@@ -881,37 +872,49 @@ class _LemmaState:
     def refuted(self) -> bool:
         return False
 
-    # branch candidates for the certify search, most promising first
     def influence(self) -> List[int]:
-        raise NotImplementedError
+        """Branch candidates for the certify search, most promising first:
+        the undecided zone vertices, the frontier and closure slots of every
+        component, and the distance-two slots of the pinned clusters."""
+        eng = self.eng
+        cands = self.zone_mask
+        for c in eng.components():
+            cands |= c.rim | c.shut
+        for a in self.anchors:
+            for slots in a.witness:
+                cands |= slots
+        dec = eng.dec
+        return sorted(set_bits(cands & ~dec), key=lambda i: (-(eng.nbmask[i] & dec).bit_count(), i))
 
     def prune(self, eng: _Engine) -> bool:
         """Internal-node settlement: the whole subtree is fine."""
         return self.hyp_false() or self.concl_certain()
 
     def _set_zone(self, verts) -> None:
-        """The zone where candidate clusters are counted: its universe
-        indices, their mask, and how many of its vertices lie beyond the
+        """The zone where candidate clusters are counted: the mask of its
+        universe vertices, and how many of its vertices lie beyond the
         universe."""
         eng = self.eng
-        self.zone = sorted(eng.index[v] for v in verts if v in eng.index)
-        self.zone_mask = _mask(self.zone)
-        self.zone_outside = len(verts) - len(self.zone)
+        self.zone_mask = _mask(eng.index[v] for v in verts if v in eng.index)
+        self.zone_outside = len(verts) - self.zone_mask.bit_count()
+
+    def _floor(self) -> int:
+        """Zone vertices that can still hold a candidate cluster of their
+        own: the undecided ones and those beyond the universe."""
+        return self.zone_outside + (self.zone_mask & ~self.eng.dec).bit_count()
 
     def _support(self, comps) -> int:
         """An upper bound on the candidate clusters the zone can still hold:
-        one per undecided zone vertex or zone vertex beyond the universe,
-        and one per component that meets the zone, avoids the pinned
-        clusters (anchor_mask) and is not certainly unqualified."""
-        total = self.zone_outside + (self.zone_mask & ~self.eng.dec).bit_count()
-        for comp in comps:
-            m = _mask(comp)
-            if not m & self.anchor_mask and m & self.zone_mask and not self._unqual(comp, comps):
+        the floor, plus one per component that meets the zone, avoids the
+        pinned clusters and is not certainly unqualified."""
+        total = self._floor()
+        for c in comps:
+            if not c.mask & self.anchor_mask and c.mask & self.zone_mask and not self._unqual(c, comps):
                 total += 1
         return total
 
-    # the cluster through comp certainly cannot be a counted candidate
-    def _unqual(self, comp, comps) -> bool:
+    # the cluster through c certainly cannot be a counted candidate
+    def _unqual(self, c, comps) -> bool:
         raise NotImplementedError
 
 
@@ -935,28 +938,6 @@ def _anchor_components(constraints: Mapping[Vertex, str]) -> List[Tuple[Vertex, 
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def _influence_candidates(eng: _Engine, zone_idx: Sequence[int],
-                          anchors: Sequence[Sequence[int]]) -> List[int]:
-    cands = set()
-    for i in zone_idx:
-        if not eng.decided(i):
-            cands.add(i)
-    comps = eng.components()
-    for comp in comps:
-        und, _ = eng.comp_frontier(comp)
-        cands.update(und)
-        w = _center_outside_nb(eng, comp)
-        if w is not None:
-            for x in eng.nb_in[w]:
-                if not eng.decided(x):
-                    cands.add(x)
-    for anchor in anchors:
-        for v in anchor:
-            cands.update(set_bits(eng.ring2[v] & ~eng.dec))
-    dec = eng.dec
-    return sorted(cands, key=lambda i: (-(eng.nbmask[i] & dec).bit_count(), i))
 
 
 _CERTIFY_DEPTH = 14
@@ -1002,103 +983,67 @@ class _L1State(_LemmaState):
     lemma_id = "L1"
 
     def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        super().__init__(eng)
         if len(anchor) != 1:
             raise ValueError("window must pin exactly one lone code vertex")
-        self.v0 = eng.index[anchor[0]]
-        for u in eng.nb_in[self.v0]:
+        super().__init__(eng, [anchor])
+        v0 = eng.index[anchor[0]]
+        for u in eng.nb_in[v0]:
             if not (eng.decided(u) and not eng.is_in(u)):
                 raise ValueError("the lone vertex's neighborhood must be pinned OUT")
-        if not eng.nb_full[self.v0]:
+        if not eng.nb_full[v0]:
             raise ValueError("the lone vertex's neighborhood must lie in the window")
-        self._set_zone(ball(eng.verts[self.v0], 3))
-        self.near_mask = eng.within[3][self.v0] & ~(1 << self.v0)
+        self._set_zone(ball(anchor[0], 3))
+        self.near_mask = eng.within[3][v0] & ~self.anchor_mask
 
     def hyp_false(self) -> bool:
-        return _cert_crowded(self.eng, (self.v0,))
+        return _cert_crowded(self.eng, self.anchors[0])
+
+    def _nearby(self):
+        """The components other than the lone vertex that reach its
+        distance-three ball."""
+        return [c for c in self.eng.components()
+                if not c.mask & self.anchor_mask and c.mask & self.near_mask]
 
     def concl_certain(self) -> bool:
         eng = self.eng
         if not eng.mem & self.near_mask:
             return False
-        for comp in eng.components():
-            if self.v0 in comp:
-                continue
-            if not self.near_mask & _mask(comp):
-                continue
-            if len(comp) >= 4:
+        for c in self._nearby():
+            if _cert_big(eng, c):
                 return True
-            if len(comp) == 3:
-                c = _path_center(eng, comp)
-                if c is not None and self.near_mask >> c & 1:
-                    return True
-                if _cert_big(eng, comp):
-                    return True
-            if len(comp) == 2 and self._n4(comp):
+            if c.center is not None and self.near_mask >> c.center & 1:
+                return True  # a 3-path's center in reach, open or closed
+            if len(c.members) == 2 and self._n4(c):
                 return True
         return False
 
-    def _n4(self, comp) -> bool:
+    def _n4(self, c) -> bool:
         # a size-2 component must grow to three or more; whichever frontier
         # vertex joins, the result is certainly nearby
         eng = self.eng
-        und, outside = eng.comp_frontier(comp)
-        if outside or not und:
+        und = c.rim & ~eng.dec
+        if c.edge or not und:
             return False
-        a, b = comp
-        for f in und:
-            center = a if f in eng.nb_in[a] else b
-            ok = False
-            for j in eng.nb_in[f]:
-                if j not in comp and eng.decided(j) and eng.is_in(j):
-                    ok = True  # merging makes a 4+-cluster within three
-                    break
-            if not ok and self.near_mask >> center & 1:
-                ok = True  # grown path's center in reach, open or closed
-            if not ok:
-                grown = tuple(sorted(comp + (f,)))
-                if _cert_big(eng, grown):
-                    ok = True
-            if not ok:
+        for f in set_bits(und):
+            if eng.nbmask[f] & eng.mem & ~c.mask:
+                continue  # merging makes a 4+-cluster within three
+            grown = eng.comp(tuple(sorted(c.members + (f,))))
+            if self.near_mask >> grown.center & 1:
+                continue  # grown path's center in reach, open or closed
+            if not _closed(eng, grown):
                 return False
         return True
 
     def refuted(self) -> bool:
         eng = self.eng
-        if self.zone_outside:
+        if self.zone_outside or self.zone_mask & ~eng.dec:
             return False
-        for i in self.zone:
-            if not eng.decided(i):
+        for c in self._nearby():
+            if not _sealed(eng, c) or len(c.members) >= 4:
+                return False  # still growing, or a 4+-cluster, which qualifies
+            if c.center is not None and (not _open(eng, c) or self.near_mask >> c.center & 1):
                 return False
-        for comp in eng.components():
-            if self.v0 in comp:
-                continue
-            if not self.near_mask & _mask(comp):
-                continue
-            und, outside = eng.comp_frontier(comp)
-            if und or outside:
-                return False
-            if len(comp) >= 4:
-                return False  # actually qualifies
-            if len(comp) == 3:
-                w = _center_outside_nb(eng, comp)
-                if w is None or not eng.nb_full[w]:
-                    return False
-                c = _path_center(eng, comp)
-                closed = any(
-                    x != c and eng.decided(x) and eng.is_in(x) for x in eng.nb_in[w]
-                )
-                undecided_w = any(
-                    x != c and not eng.decided(x) for x in eng.nb_in[w]
-                )
-                if closed or undecided_w:
-                    return False
-                if self.near_mask >> c & 1:
-                    return False
         return True
-
-    def influence(self) -> List[int]:
-        return _influence_candidates(self.eng, self.zone, [(self.v0,)])
 
 
 class _L2State(_LemmaState):
@@ -1108,37 +1053,20 @@ class _L2State(_LemmaState):
     lemma_id = "L2"
 
     def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        super().__init__(eng)
         if len(anchor) != 3:
             raise ValueError("window must pin exactly one 3-cluster")
-        self.anchor = tuple(eng.index[v] for v in anchor)
-        self.center = _path_center(eng, self.anchor)
-        if self.center is None:
-            raise ValueError("pinned cluster is not a path")
+        super().__init__(eng, [anchor])
+        self.anchor = self.anchors[0]
         self._set_zone(set().union(*layers(anchor, 3)[2:]))
-        self.anchor_mask = _mask(self.anchor)
-        self.w = _center_outside_nb(eng, self.anchor)
 
     def hyp_false(self) -> bool:
-        # certainly not closed: every other neighbor of the center's
-        # outside neighbor is decided OUT
-        eng = self.eng
-        w = self.w
-        if w is None or not eng.nb_full[w]:
-            return False
-        for x in eng.nb_in[w]:
-            if x == self.center:
-                continue
-            if not eng.decided(x) or eng.is_in(x):
-                return False
-        return True
+        return _open(self.eng, self.anchor)
 
-    def _unqual(self, comp, comps) -> bool:
-        return _cert_big(self.eng, comp) or _cert_crowded(self.eng, comp)
+    def _unqual(self, c, comps) -> bool:
+        return _cert_big(self.eng, c) or _cert_crowded(self.eng, c)
 
     def concl_certain(self) -> bool:
-        floor = (self.zone_mask & ~self.eng.dec).bit_count() + self.zone_outside
-        if floor > 10:
+        if self._floor() > 10:
             return False
         u = self._support(self.eng.components())
         if u <= 9:
@@ -1150,93 +1078,47 @@ class _L2State(_LemmaState):
         if self.zone_outside or self.zone_mask & ~eng.dec:
             return False
         exact = 0
-        for comp in eng.components():
-            m = _mask(comp)
-            if m & self.anchor_mask or not m & self.zone_mask:
+        for c in eng.components():
+            if c.mask & self.anchor_mask or not c.mask & self.zone_mask:
                 continue
-            und, outside = eng.comp_frontier(comp)
-            if und or outside:
+            if not _sealed(eng, c):
                 return False
-            q = self._qual_exact(comp)
+            q = self._qual_exact(c)
             if q is None:
                 return False
-            exact += 1 if q else 0
+            exact += q
         uncrowded = self._uncrowded_exact()
         if uncrowded is None:
             return False
         return exact > 10 or (exact == 10 and uncrowded)
 
     def _uncrowded_exact(self) -> Optional[bool]:
-        # None when some distance-two witness slot is undecided or out of
-        # reach of the engine's universe
+        # None at the first member with an undecided distance-two slot; the
+        # universe reaches GROWTH_MARGIN past the pinned cluster, so all its
+        # slots lie inside
         eng = self.eng
-        anchor_set = set(self.anchor)
-        for v in self.anchor:
-            hits = 0
-            for w in sphere(eng.verts[v], 2):
-                j = eng.index.get(w)
-                if j is None:
-                    return None
-                if j in anchor_set:
-                    continue
-                if not eng.decided(j):
-                    return None
-                if eng.is_in(j):
-                    hits += 1
-            if hits >= 2:
+        for slots in self.anchor.witness:
+            if slots & ~eng.dec:
+                return None
+            if (slots & eng.mem).bit_count() >= 2:
                 return False
         return True
 
-    def _qual_exact(self, comp) -> Optional[bool]:
+    def _qual_exact(self, c) -> Optional[bool]:
         # sealed component: is it exactly an uncrowded 1-cluster or
         # uncrowded open 3-cluster?  None when not decidable.
         eng = self.eng
-        if len(comp) >= 4:
-            return False
-        if len(comp) == 2:
-            return False  # sealed size two cannot happen in a feasible state
-        if len(comp) == 1:
-            x = comp[0]
-            if not eng.nb_full[x]:
-                return None
-            for u in eng.nb_in[x]:
-                if not eng.nb_full[u]:
-                    return None
-                others = [j for j in eng.nb_in[u] if j != x]
-                if not all(eng.decided(j) for j in others):
-                    return None
-            return not _cert_crowded(eng, comp)
-        if not _cert_exact_open3(eng, comp):
-            w = _center_outside_nb(eng, comp)
-            if w is None or not eng.nb_full[w]:
-                return None
-            c = _path_center(eng, comp)
-            for x in eng.nb_in[w]:
-                if x != c and not eng.decided(x):
-                    return None
-            # closed, hence not an open 3-cluster
-            return False
-        comp_set = set(comp)
-        for v in comp:
-            for w in sphere(eng.verts[v], 2):
-                j = eng.index.get(w)
-                if j is None:
-                    return None
-                if j not in comp_set and not eng.decided(j):
-                    return None
-        return not _cert_crowded(eng, comp)
-
-    def influence(self) -> List[int]:
-        return _influence_candidates(self.eng, self.zone, [self.anchor])
-
-
-def _witness_mask(eng: _Engine, comp: Sequence[int]) -> int:
-    """Vertices outside comp at distance exactly two from a member: the
-    slots of the distance-two code witnesses that crowd a cluster."""
-    m = 0
-    for v in comp:
-        m |= eng.ring2[v]
-    return m & ~_mask(comp)
+        if len(c.members) == 3 and not (_sealed(eng, c) and _open(eng, c)):
+            # closed, hence not an open 3-cluster, once the closure is decided
+            return None if not c.closable or c.shut & ~eng.dec else False
+        if len(c.members) not in (1, 3):
+            return False  # a 4+-cluster, or a sealed pair (no feasible state has one)
+        # every distance-two slot must lie in the universe and be decided
+        if c.edge or not all(eng.nb_full[u] for u in set_bits(c.rim)):
+            return None
+        if any(slots & ~eng.dec for slots in c.witness):
+            return None
+        return not _cert_crowded(eng, c)
 
 
 class _ThreatState(_LemmaState):
@@ -1248,17 +1130,13 @@ class _ThreatState(_LemmaState):
     center_balls: List[frozenset]
     cluster_balls: List[frozenset]
 
-    def _unqual(self, comp, comps) -> bool:
+    def _unqual(self, c, comps) -> bool:
         eng = self.eng
-        if _cert_big(eng, comp):
+        if _cert_big(eng, c) or _cert_crowded(eng, c) or _cert_unthreat(eng, c, comps):
             return True
-        if _cert_crowded(eng, comp):
-            return True
-        if _cert_unthreat(eng, comp, comps):
-            return True
-        if len(comp) == 1:
-            return _singleton_geom_unqual(eng, comp[0], self.center_balls, self.cluster_balls)
-        return _comp_geom_unqual(eng, comp, self.cluster_balls)
+        if len(c.members) == 1:
+            return _singleton_geom_unqual(eng, c.members[0], self.center_balls, self.cluster_balls)
+        return _comp_geom_unqual(eng, c, self.cluster_balls)
 
 
 class _L3State(_ThreatState):
@@ -1269,55 +1147,37 @@ class _L3State(_ThreatState):
     lemma_id = "L3"
 
     def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        super().__init__(eng)
         if len(anchor) != 3:
             raise ValueError("window must pin exactly one 3-cluster")
-        self.anchor = tuple(eng.index[v] for v in anchor)
-        self.center = _path_center(eng, self.anchor)
-        if self.center is None:
-            raise ValueError("pinned cluster is not a path")
-        self.leaves = tuple(i for i in self.anchor if i != self.center)
+        super().__init__(eng, [anchor])
+        self.anchor = self.anchors[0]
+        leaves = [i for i in self.anchor.members if i != self.anchor.center]
         around = layers(anchor, 3)
         self._set_zone(set().union(*around[1:]))
-        self.center_balls = [ball(eng.verts[self.center], 3)]
+        self.center_balls = [ball(eng.verts[self.anchor.center], 3)]
         self.cluster_balls = [set().union(*around)]
-        self.leaf_balls = tuple(ball(eng.verts[l], 3) for l in self.leaves)
-        self.anchor_mask = _mask(self.anchor)
-        self.d2_mask = _witness_mask(eng, self.anchor)
-        self.near_masks = [eng.within[3][l] & ~self.anchor_mask for l in self.leaves]
+        self.leaf_balls = tuple(ball(eng.verts[l], 3) for l in leaves)
+        self.near_masks = [eng.within[3][l] & ~self.anchor_mask for l in leaves]
 
     def hyp_false(self) -> bool:
         eng = self.eng
-        if (eng.mem & self.d2_mask).bit_count() >= 2 and _cert_crowded(eng, self.anchor):
+        if _cert_crowded(eng, self.anchor):
             return True
-        comps = None
-        if eng.mem & ~self.anchor_mask:
-            comps = eng.components()
-            anchor_comp = None
-            for comp in comps:
-                if self.anchor[0] in comp:
-                    anchor_comp = comp
-                    break
-            if anchor_comp is not None and _cert_unthreat(eng, anchor_comp, comps):
-                return True
-        if (self.zone_mask & ~eng.dec).bit_count() + self.zone_outside < 4:
-            if comps is None:
-                comps = eng.components()
-            return self._support(comps) < 4
-        return False
+        comps = eng.components()
+        home = next(c for c in comps if c.mask & self.anchor_mask)
+        if _cert_unthreat(eng, home, comps):
+            return True
+        return self._floor() < 4 and self._support(comps) < 4
 
     def concl_certain(self) -> bool:
         eng = self.eng
         near1, near2 = self.near_masks
         if not eng.mem & near1 or not eng.mem & near2:
             return False
-        for comp in eng.components():
-            if len(comp) < 2:
-                continue
-            m = _mask(comp)
-            if not m & self.anchor_mask and m & near1 and m & near2:
-                return True
-        return False
+        return any(
+            len(c.members) >= 2 and not c.mask & self.anchor_mask and c.mask & near1 and c.mask & near2
+            for c in eng.components()
+        )
 
     def refuted(self) -> bool:
         # a helping cluster must put decided vertices inside a leaf ball, so
@@ -1330,21 +1190,14 @@ class _L3State(_ThreatState):
                 if i is None or not eng.decided(i):
                     return False
         near1, near2 = self.near_masks
-        for comp in eng.components():
-            m = _mask(comp)
-            if m & self.anchor_mask:
+        for c in eng.components():
+            if c.mask & self.anchor_mask or not c.mask & (near1 | near2):
                 continue
-            if not m & (near1 | near2):
-                continue
-            und, outside = eng.comp_frontier(comp)
-            if und or outside:
+            if not _sealed(eng, c):
                 return False
-            if len(comp) >= 2 and m & near1 and m & near2:
+            if len(c.members) >= 2 and c.mask & near1 and c.mask & near2:
                 return False
         return True
-
-    def influence(self) -> List[int]:
-        return _influence_candidates(self.eng, self.zone, [self.anchor])
 
 
 class _L4State(_ThreatState):
@@ -1355,43 +1208,27 @@ class _L4State(_ThreatState):
     lemma_id = "L4"
 
     def __init__(self, eng, anchors: Sequence[Tuple[Vertex, ...]]):
-        super().__init__(eng)
         if len(anchors) != 2 or any(len(a) != 3 for a in anchors):
             raise ValueError("window must pin exactly two 3-clusters")
-        self.anchors = tuple(tuple(eng.index[v] for v in a) for a in anchors)
-        self.centers = tuple(_path_center(eng, a) for a in self.anchors)
-        if any(c is None for c in self.centers):
-            raise ValueError("pinned clusters must be paths")
-        for a, c, other in zip(self.anchors, self.centers, reversed(self.anchors)):
-            if any(not _near(eng, 3, (l,), other) for l in a if l != c):
+        super().__init__(eng, anchors)
+        for a, other in zip(self.anchors, reversed(self.anchors)):
+            if any(not eng.within[3][l] & other.mask for l in a.members if l != a.center):
                 raise ValueError("pinned clusters are not paired")
         self.cluster_balls = [set().union(*layers(a, 3)) for a in anchors]
-        self.center_balls = [ball(eng.verts[c], 3) for c in self.centers]
+        self.center_balls = [ball(eng.verts[a.center], 3) for a in self.anchors]
         self._set_zone(set().union(*self.cluster_balls).difference(*anchors))
-        self.anchor_mask = _mask(i for a in self.anchors for i in a)
-        self.d2_masks = [_witness_mask(eng, a) for a in self.anchors]
 
     def hyp_false(self) -> bool:
-        eng = self.eng
-        for a, d2m in zip(self.anchors, self.d2_masks):
-            if (eng.mem & d2m).bit_count() >= 2 and _cert_crowded(eng, a):
-                return True
-        return False
+        return any(_cert_crowded(self.eng, a) for a in self.anchors)
 
     def _big_nearby_certain(self, comps) -> bool:
-        eng = self.eng
-        for comp in comps:
-            if _mask(comp) & self.anchor_mask:
-                continue
-            if not _cert_big(eng, comp):
-                continue
-            if any(_near(eng, 3, comp, a) for a in self.anchors):
-                return True
-        return False
+        return any(
+            not c.mask & self.anchor_mask and c.reach3 & self.anchor_mask and _cert_big(self.eng, c)
+            for c in comps
+        )
 
     def concl_certain(self) -> bool:
-        floor = (self.zone_mask & ~self.eng.dec).bit_count() + self.zone_outside
-        if floor > 7:
+        if self._floor() > 7:
             return False
         comps = self.eng.components()
         u = self._support(comps)
@@ -1404,9 +1241,6 @@ class _L4State(_ThreatState):
         # would need their surroundings decided out to distance six;
         # windows never provide that, so no refutation is claimed
         return False
-
-    def influence(self) -> List[int]:
-        return _influence_candidates(self.eng, self.zone, self.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,17 +1367,12 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
 
     def on_leaf(e):
         settled[0] += 1
-        if state.hyp_false():
-            return
-        if state.concl_certain():
-            return
-        if _certify(state):
-            return
-        if state.refuted():
+        outcome = _settle(state)
+        if outcome == COUNTEREXAMPLE:
             counter_found[0] = True
             e.aborted = True
-            return
-        open_configs[0] += 1
+        elif outcome == INCONCLUSIVE:
+            open_configs[0] += 1
 
     eng.search(on_leaf, try_prune=try_prune, node_cap=node_cap)
 
@@ -1572,6 +1401,15 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
     return LemmaVerdict(lemma_id, VERIFIED, radius, tpl.name, settled[0])
 
 
+def _settle(state: _LemmaState) -> str:
+    """The verdict on one feasible total assignment: VERIFIED when every
+    completion satisfies the lemma, COUNTEREXAMPLE when decided vertices
+    refute it, INCONCLUSIVE otherwise."""
+    if state.hyp_false() or state.concl_certain() or _certify(state):
+        return VERIFIED
+    return COUNTEREXAMPLE if state.refuted() else INCONCLUSIVE
+
+
 def _make_state(lemma_id, eng, anchors, constraints) -> _LemmaState:
     if lemma_id == "L1":
         singles = [a for a in anchors
@@ -1595,19 +1433,12 @@ def _lex_least_counterexample(tpl: Template, lemma_id: str) -> Optional[WindowCo
     state = _make_state(lemma_id, eng, anchors, tpl.constraints())
     found: List[Optional[WindowConfig]] = [None]
 
-    def try_prune(e):
-        return state.prune(e)
-
     def on_leaf(e):
-        if state.hyp_false() or state.concl_certain():
-            return
-        if _certify(state):
-            return
-        if state.refuted():
+        if _settle(state) == COUNTEREXAMPLE:
             found[0] = e.snapshot()
             e.aborted = True
 
-    eng.search(on_leaf, try_prune=try_prune, static_order=True)
+    eng.search(on_leaf, try_prune=state.prune, static_order=True)
     return found[0]
 
 

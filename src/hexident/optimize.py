@@ -43,12 +43,12 @@ class DomainTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: the period, an optional size budget, and knobs."""
+    """What to search: the period, an optional size budget, and whether to
+    break translation symmetry."""
 
     lattice: PeriodLattice
     budget: int | None = None
     symmetry_reduction: bool = True
-    cap: int = DOMAIN_CAP
 
 
 @dataclass
@@ -212,8 +212,8 @@ def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
     """
     lattice = spec.lattice
     n = lattice.domain_size
-    if n > spec.cap:
-        raise DomainTooLarge(f"domain size {n} exceeds cap {spec.cap}")
+    if n > DOMAIN_CAP:
+        raise DomainTooLarge(f"domain size {n} exceeds cap {DOMAIN_CAP}")
     masks = _masks(lattice)
     limit = spec.budget if spec.budget is not None else n
     search = _Search(masks, n, limit, node_cap)

@@ -72,6 +72,15 @@ def test_density_exact_and_approx(capsys, witness):
     assert out.strip() == str(float(3 / 7))
 
 
+def test_approx_only_where_a_fraction_prints(capsys, witness):
+    code, _, err = run(capsys, "check-lemma", "--id", "L1", "--approx")
+    assert code == 2
+    assert "--approx" in err
+    for argv in (["classify", "--code", witness], ["shell", "--code", witness, "--at", "0,0,0"],
+                 ["scan", "--max-domain", "4"]):
+        assert run(capsys, *argv, "--approx")[0] == 2
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--code", "/no/such/code.txt")
     assert code == 2

@@ -7,6 +7,7 @@ classification does not require validity.
 
 import json
 import random
+from collections import deque
 
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, neighbors
 from hexident.code import PeriodicCode
@@ -267,6 +268,63 @@ def test_cluster_distance_matches_reference_on_random_codes():
                 infinite_pairs += c1.infinite and c2.infinite
                 assert cls.cluster_distance(c1, c2) == _reference_cluster_distance(cls, c1, c2)
     assert infinite_pairs >= 50
+
+
+def _reference_clusters(code):
+    """Clusters as first built, in two passes per component: a search over
+    orbit classes (the quotient graph), then a second search in infinite
+    coordinates for the instance, which fails on reaching one class at two
+    distinct vertices.  Entries are (vertices, classes, infinite)."""
+    lat = code.lattice
+    out = []
+    assigned = set()
+    for rep in lat.domain():
+        if rep not in code.members or rep in assigned:
+            continue
+        classes = {rep}
+        frontier = [rep]
+        while frontier:
+            u = frontier.pop()
+            for w in neighbors(u):
+                c = lat.canonical(w)
+                if c in code.members and c not in classes:
+                    classes.add(c)
+                    frontier.append(c)
+        by_class = {rep: rep}
+        queue = deque([rep])
+        infinite = False
+        while queue and not infinite:
+            u = queue.popleft()
+            for w in neighbors(u):
+                if not code.contains(w):
+                    continue
+                c = lat.canonical(w)
+                prev = by_class.get(c)
+                if prev is None:
+                    by_class[c] = w
+                    queue.append(w)
+                elif prev != w:
+                    infinite = True
+                    break
+        inst = classes if infinite else set(by_class.values())
+        out.append((frozenset(inst), frozenset(classes), infinite))
+        assigned |= classes
+    return out
+
+
+def test_components_match_two_pass_reference_on_random_codes():
+    rng = random.Random(20261019)
+    lattices = list(all_lattices(40))
+    infinite = finite = 0
+    for _ in range(400):
+        lat = rng.choice(lattices)
+        density = rng.uniform(0.3, 0.6)
+        code = PeriodicCode(lat, frozenset(v for v in lat.domain() if rng.random() < density))
+        got = [(cl.vertices, cl.classes, cl.infinite) for cl in Classification(code).clusters]
+        assert got == _reference_clusters(code)
+        infinite += sum(entry[2] for entry in got)
+        finite += sum(not entry[2] for entry in got)
+    assert infinite >= 100 and finite >= 1000
 
 
 def test_random_codes_partition_and_maximality():

@@ -293,6 +293,290 @@ def test_engine_distance_masks_match_reference_table(name):
 
 
 # ---------------------------------------------------------------------------
+# the component records against the tuple-based rules they replaced
+#
+# The references below are the certainty rules as they were written over
+# bare index tuples, re-deriving each component's center, frontier and
+# closure on every call.  They are kept as the oracle for the records,
+# changed only to take the engine, the pinned cluster and the component
+# list as arguments.
+
+
+def _ref_mask(idx):
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
+
+
+def _ref_components(eng):
+    comps = []
+    seen = 0
+    mem = eng.mem
+    for i in hexgrid.set_bits(mem):
+        if (seen >> i) & 1:
+            continue
+        stack = [i]
+        comp = []
+        seen |= 1 << i
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in eng.nb_in[u]:
+                if (mem >> w) & 1 and not (seen >> w) & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def _ref_comp_frontier(eng, comp):
+    und = set()
+    outside = False
+    comp_set = set(comp)
+    for i in comp:
+        if not eng.nb_full[i]:
+            outside = True
+        for j in eng.nb_in[i]:
+            if j not in comp_set and not eng.decided(j):
+                und.add(j)
+    return sorted(und), outside
+
+
+def _ref_near(eng, radius, comp_a, comp_b):
+    reach = eng.within[radius]
+    target = _ref_mask(comp_b)
+    return any(reach[i] & target for i in comp_a)
+
+
+def _ref_path_center(eng, comp):
+    if len(comp) != 3:
+        return None
+    comp_set = set(comp)
+    for i in comp:
+        if sum(1 for j in eng.nb_in[i] if j in comp_set) == 2:
+            return i
+    return None
+
+
+def _ref_center_outside_nb(eng, comp):
+    c = _ref_path_center(eng, comp)
+    if c is None or not eng.nb_full[c]:
+        return None
+    comp_set = set(comp)
+    for j in eng.nb_in[c]:
+        if j not in comp_set:
+            return j
+    return None
+
+
+def _ref_cert_big(eng, comp):
+    if len(comp) >= 4:
+        return True
+    if len(comp) == 3:
+        w = _ref_center_outside_nb(eng, comp)
+        if w is None or not eng.nb_full[w]:
+            return False
+        c = _ref_path_center(eng, comp)
+        for x in eng.nb_in[w]:
+            if x != c and eng.decided(x) and eng.is_in(x):
+                return True
+    return False
+
+
+def _ref_cert_exact_open3(eng, comp):
+    if len(comp) != 3:
+        return False
+    und, outside = _ref_comp_frontier(eng, comp)
+    if und or outside:
+        return False
+    w = _ref_center_outside_nb(eng, comp)
+    if w is None or not eng.nb_full[w]:
+        return False
+    c = _ref_path_center(eng, comp)
+    for x in eng.nb_in[w]:
+        if x == c:
+            continue
+        if not eng.decided(x) or eng.is_in(x):
+            return False
+    return True
+
+
+def _ref_cert_crowded(eng, comp):
+    if len(comp) == 1:
+        x = comp[0]
+        for u in eng.nb_in[x]:
+            if not eng.decided(u) or eng.is_in(u) or not eng.nb_full[u]:
+                continue
+            others = [j for j in eng.nb_in[u] if j != x]
+            if len(others) == 2 and all(eng.decided(j) and eng.is_in(j) for j in others):
+                return True
+        return False
+    if len(comp) == 3:
+        outside = eng.mem & ~_ref_mask(comp)
+        return any((eng.ring2[v] & outside).bit_count() >= 2 for v in comp)
+    return False
+
+
+def _ref_cert_unthreat(eng, comp, comps):
+    for other in comps:
+        if other is comp:
+            continue
+        if _ref_cert_big(eng, other) and _ref_near(eng, 3, comp, other):
+            return True
+    if 2 <= len(comp) <= 3:
+        for other in comps:
+            if other is comp:
+                continue
+            if len(other) >= 2 and _ref_near(eng, 2, comp, other):
+                return True
+    return False
+
+
+def _ref_uncrowded_exact(eng, anchor):
+    anchor_set = set(anchor)
+    for v in anchor:
+        hits = 0
+        for w in hexgrid.sphere(eng.verts[v], 2):
+            j = eng.index.get(w)
+            if j is None:
+                return None
+            if j in anchor_set:
+                continue
+            if not eng.decided(j):
+                return None
+            if eng.is_in(j):
+                hits += 1
+        if hits >= 2:
+            return False
+    return True
+
+
+def _ref_qual_exact(eng, comp):
+    if len(comp) >= 4:
+        return False
+    if len(comp) == 2:
+        return False
+    if len(comp) == 1:
+        x = comp[0]
+        if not eng.nb_full[x]:
+            return None
+        for u in eng.nb_in[x]:
+            if not eng.nb_full[u]:
+                return None
+            others = [j for j in eng.nb_in[u] if j != x]
+            if not all(eng.decided(j) for j in others):
+                return None
+        return not _ref_cert_crowded(eng, comp)
+    if not _ref_cert_exact_open3(eng, comp):
+        w = _ref_center_outside_nb(eng, comp)
+        if w is None or not eng.nb_full[w]:
+            return None
+        c = _ref_path_center(eng, comp)
+        for x in eng.nb_in[w]:
+            if x != c and not eng.decided(x):
+                return None
+        return False
+    comp_set = set(comp)
+    for v in comp:
+        for w in hexgrid.sphere(eng.verts[v], 2):
+            j = eng.index.get(w)
+            if j is None:
+                return None
+            if j not in comp_set and not eng.decided(j):
+                return None
+    return not _ref_cert_crowded(eng, comp)
+
+
+def _ref_influence_candidates(eng, zone_idx, anchors, comps):
+    cands = set()
+    for i in zone_idx:
+        if not eng.decided(i):
+            cands.add(i)
+    for comp in comps:
+        und, _ = _ref_comp_frontier(eng, comp)
+        cands.update(und)
+        w = _ref_center_outside_nb(eng, comp)
+        if w is not None:
+            for x in eng.nb_in[w]:
+                if not eng.decided(x):
+                    cands.add(x)
+    for anchor in anchors:
+        for v in anchor:
+            cands.update(hexgrid.set_bits(eng.ring2[v] & ~eng.dec))
+    dec = eng.dec
+    return sorted(cands, key=lambda i: (-(eng.nbmask[i] & dec).bit_count(), i))
+
+
+def _check_records_against_reference(state, anchors):
+    eng = state.eng
+    comps = eng.components()
+    ref = _ref_components(eng)
+    assert [c.members for c in comps] == ref
+    for c, t in zip(comps, ref):
+        assert c.mask == _ref_mask(t)
+        assert c.center == _ref_path_center(eng, t)
+        frontier = _ref_comp_frontier(eng, t)
+        assert (sorted(hexgrid.set_bits(c.rim & ~eng.dec)), c.edge) == frontier
+        assert ll._sealed(eng, c) == (frontier == ([], False))
+        assert ll._cert_big(eng, c) == _ref_cert_big(eng, t)
+        assert (ll._sealed(eng, c) and ll._open(eng, c)) == _ref_cert_exact_open3(eng, t)
+        assert ll._cert_crowded(eng, c) == _ref_cert_crowded(eng, t)
+        assert ll._cert_unthreat(eng, c, comps) == _ref_cert_unthreat(eng, t, ref)
+        if isinstance(state, ll._L2State):
+            assert state._qual_exact(c) == _ref_qual_exact(eng, t)
+    if isinstance(state, ll._L2State):
+        assert state._uncrowded_exact() == _ref_uncrowded_exact(eng, anchors[0])
+    zone = list(hexgrid.set_bits(state.zone_mask))
+    assert state.influence() == _ref_influence_candidates(eng, zone, anchors, ref)
+
+
+# L2 stops at about half of its 47585 search nodes to keep the test near
+# twenty seconds; the others run whole or at the paired windows' caps
+@pytest.mark.parametrize("lemma_id,template,node_cap", [
+    ("L1", None, None),
+    ("L2", None, 24000),
+    ("L3", None, None),
+    ("L4", "fig5", 1500),
+    ("L4", "fig6", 1500),
+])
+def test_component_records_match_tuple_rules(monkeypatch, lemma_id, template, node_cap):
+    # every state the window search and the certify search visit: the
+    # search calls prune at each node before its leaf, and _certify recurses
+    # through the module name
+    pinned = []
+    make_state = ll._make_state
+
+    def recording_make_state(lid, eng, anchors, constraints):
+        state = make_state(lid, eng, anchors, constraints)
+        pinned[:] = [a.members for a in state.anchors]
+        assert all(a in [tuple(eng.index[v] for v in b) for b in anchors] for a in pinned)
+        return state
+
+    prune = ll._LemmaState.prune
+    certify = ll._certify
+    visited = [0]
+
+    def checked(state):
+        visited[0] += 1
+        _check_records_against_reference(state, pinned)
+
+    def checked_prune(state, eng):
+        checked(state)
+        return prune(state, eng)
+
+    def checked_certify(state, *args, **kwargs):
+        checked(state)
+        return certify(state, *args, **kwargs)
+
+    monkeypatch.setattr(ll, "_make_state", recording_make_state)
+    monkeypatch.setattr(ll._LemmaState, "prune", checked_prune)
+    monkeypatch.setattr(ll, "_certify", checked_certify)
+    check_lemma(lemma_id, template=template, node_cap=node_cap)
+    assert visited[0] > 0
+
+
+# ---------------------------------------------------------------------------
 # the decided-only refutation path
 
 # a window pinned so densely that the conclusion is refuted on decided
@@ -377,7 +661,7 @@ def test_counterexample_verdict_plumbing(monkeypatch):
     # force the per-window evaluation to call every assignment refuting;
     # the checker must abort, rerun in lexicographic order, and surface the
     # least refuting window as an advisory counterexample
-    monkeypatch.setattr(ll, "_make_state", lambda lid, eng, a, c: _AlwaysRefuted(eng))
+    monkeypatch.setattr(ll, "_make_state", lambda lid, eng, a, c: _AlwaysRefuted(eng, a))
     v = check_lemma("L1", template="fig3a")
     assert v.result == COUNTEREXAMPLE
     assert v.counterexample is not None

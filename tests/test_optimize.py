@@ -102,8 +102,6 @@ def test_node_cap_returns_valid_incumbent_without_proof():
 def test_domain_cap_enforced():
     with pytest.raises(DomainTooLarge):
         minimum_code(SearchSpec(PeriodLattice(6, 3, 0)))
-    with pytest.raises(DomainTooLarge):
-        minimum_code(SearchSpec(PeriodLattice(3, 3, 0), cap=10))
 
 
 def test_search_is_deterministic():
