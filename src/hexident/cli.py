@@ -45,6 +45,11 @@ from hexident.lemma_lab import (
 from hexident.optimize import SearchSpec, INFEASIBLE, density_scan, minimum_code, scan_csv
 
 
+# largest domain (2pq) a code file may declare: the clause compile and the
+# domain loops grow with it, so a bigger period exits 2 before either runs
+CODE_FILE_CAP = 20000
+
+
 def _frac(x: Fraction, approx: bool) -> str:
     return str(float(x)) if approx else f"{x.numerator}/{x.denominator}"
 
@@ -77,7 +82,10 @@ def _emit(text: str, args) -> None:
 
 
 def _load_code(path: str) -> PeriodicCode:
-    return PeriodicCode.load(path)
+    code = PeriodicCode.load(path)
+    if code.lattice.domain_size > CODE_FILE_CAP:
+        raise ValueError(f"domain size {code.lattice.domain_size} exceeds cap {CODE_FILE_CAP}")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,20 @@ Labels follow the taxonomy used by the discharging engine:
     at least two code vertices at distance exactly two outside the
     cluster instance.
   * nearby is directional, from an uncrowded 1-cluster or uncrowded
-    open 3-cluster toward a 3+-cluster; see nearby_from_1cluster and
-    nearby_from_open3.
+    open 3-cluster toward a 3+-cluster: every 4+-cluster and closed
+    3-cluster within distance three, and each open 3-cluster whose
+    center is within three of the 1-cluster, or that is within three of
+    both leaves of the open 3-cluster.
   * threatened and needy refine open 3-clusters and 1-clusters; all
     3-cluster threat labels are fixed before any 1-cluster is judged.
+
+Every one of these labels, and every rescue rule and claim of the
+discharging engine, reads one relation: reach(cl), the instances within
+distance three of a finite cluster with their distances, from one search
+per cluster.  nearby(cl) is the only definition of nearby and filters
+reach.  A query in the other direction (is cl nearby from an instance
+X + d of another finite cluster X?) reads nearby(X) with cl seen from
+X's frame, as the instance of cl at offset -d.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from hexident.hexgrid import Vertex, ball, distance, layers, neighbors, set_distance, sphere
+from hexident.hexgrid import Vertex, ball, layers, neighbors, sphere
 from hexident.code import PeriodicCode
 
 
@@ -79,7 +89,6 @@ class Cluster:
         for v in self.vertices:
             if sum(1 for w in neighbors(v) if w in self.vertices) == 2:
                 return v
-        raise AssertionError("3-cluster is not a path")
 
     def leaves(self) -> tuple[Vertex, Vertex]:
         c = self.center()
@@ -100,6 +109,8 @@ class Classification:
         self.open_: dict[int, bool] = {}
         self._label_shapes()
 
+        self._reach: dict[int, dict[Instance, int]] = {}
+        self._nearby: dict[int, frozenset[Instance]] = {}
         self.threatened: dict[int, bool] = {}
         self.needy: dict[int, bool] = {}
         self._label_threats()
@@ -181,24 +192,6 @@ class Classification:
         c = self.clusters[inst.cid].center()
         return Vertex(c.a + inst.da, c.b + inst.db, c.s)
 
-    def instance_leaves(self, inst: Instance) -> tuple[Vertex, Vertex]:
-        return tuple(
-            Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in self.clusters[inst.cid].leaves()
-        )
-
-    def instances_within(
-        self, around: frozenset[Vertex] | set[Vertex], radius: int, exclude: Instance | None = None
-    ) -> list[Instance]:
-        """Component instances with a vertex within radius of the given set."""
-        found: set[Instance] = set()
-        for v in around:
-            for w in ball(v, radius):
-                if self.code.contains(w):
-                    found.add(self.instance_of(w))
-        if exclude is not None:
-            found.discard(exclude)
-        return sorted(found)
-
     def cluster_distance(self, c1: Cluster, c2: Cluster) -> int:
         """Min distance between an instance of c1 and a distinct instance of c2.
 
@@ -265,47 +258,47 @@ class Classification:
         cl = self.clusters[cid]
         return cl.size == 3 and self.open_[cid]
 
-    # -- nearby -----------------------------------------------------------
+    # -- the distance-three relation ---------------------------------------
 
-    def nearby_from_1cluster(self, v: Vertex, inst: Instance) -> bool:
-        """nearby(v -> inst) for an uncrowded 1-cluster v.
+    def reach(self, cl: Cluster) -> dict[Instance, int]:
+        """Every other instance within distance three of a finite cluster.
 
-        Within distance three of a 4+-cluster or a closed 3-cluster, or
-        within distance three of the open center of an open 3-cluster.
+        Maps each instance to its distance from cl's anchored instance,
+        from one breadth-first search.  A code vertex outside the cluster
+        is never adjacent to it, so every distance is two or three.
         """
-        cid = inst.cid
-        if self.is_big(cid):
-            return self._inst_within({v}, inst, 3)
-        if self.is_closed3(cid):
-            return self._inst_within({v}, inst, 3)
-        if self.is_open3(cid):
-            return distance(v, self.instance_center(inst), cap=3) <= 3
-        return False
+        got = self._reach.get(cl.cid)
+        if got is None:
+            got = {}
+            contains = self.code.contains
+            for d, layer in enumerate(layers(cl.vertices, 3)[2:], 2):
+                for w in layer:
+                    if contains(w):
+                        got.setdefault(self.instance_of(w), d)
+            self._reach[cl.cid] = got
+        return got
 
-    def nearby_from_open3(self, c1: Cluster, inst: Instance) -> bool:
-        """nearby(C1 -> inst) for an uncrowded open 3-cluster C1 (anchored).
-
-        Within distance three of a 4+-cluster or closed 3-cluster, or
-        both leaves of C1 within distance three of an open 3-cluster.
-        """
-        cid = inst.cid
-        if self.is_big(cid) or self.is_closed3(cid):
-            return self._inst_within(c1.vertices, inst, 3)
-        if self.is_open3(cid):
-            tv = self.instance_vertices(inst)
-            return all(set_distance({leaf}, tv, cap=3) <= 3 for leaf in c1.leaves())
-        return False
-
-    def _inst_within(self, src, inst: Instance, radius: int) -> bool:
-        if self.clusters[inst.cid].infinite:
-            lat = self.code.lattice
-            targets = self.clusters[inst.cid].classes
-            return any(
-                lat.canonical(w) in targets
-                for v in src
-                for w in ball(v, radius)
+    def nearby(self, cl: Cluster) -> frozenset[Instance]:
+        """The instances a 1-cluster or an open 3-cluster is nearby, as
+        the module docstring defines it; a subset of reach(cl)."""
+        got = self._nearby.get(cl.cid)
+        if got is None:
+            if cl.size == 1:
+                (v,) = cl.vertices
+                near = ball(v, 3)
+                hits = lambda i: self.instance_center(i) in near
+            elif self.is_open3(cl.cid):
+                balls = [ball(leaf, 3) for leaf in cl.leaves()]
+                hits = lambda i: all(not b.isdisjoint(self.instance_vertices(i)) for b in balls)
+            else:
+                raise UnsupportedKind("nearby is defined from 1-clusters and open 3-clusters")
+            got = frozenset(
+                i
+                for i in self.reach(cl)
+                if self.is_big(i.cid) or self.is_closed3(i.cid) or (self.is_open3(i.cid) and hits(i))
             )
-        return set_distance(src, self.instance_vertices(inst), cap=radius) <= radius
+            self._nearby[cl.cid] = got
+        return got
 
     # -- threatened / needy ------------------------------------------------
 
@@ -318,57 +311,40 @@ class Classification:
             if cl.size == 1:
                 self.threatened[cl.cid] = self._threatened1(cl)
         for cl in self.clusters:
-            if cl.size == 3 and self.threatened[cl.cid]:
-                self.needy[cl.cid] = self._needy(cl)
-            elif cl.size == 3:
-                self.needy[cl.cid] = False
+            if cl.size == 3:
+                self.needy[cl.cid] = self.threatened[cl.cid] and self.needy_support(cl) >= 4
 
     def _threatened3(self, cl: Cluster) -> bool:
         if self.crowded[cl.cid] or not self.open_[cl.cid]:
             return False
-        for inst in self.instances_within(cl.vertices, 3, exclude=cl.anchored):
+        for inst, d in self.reach(cl).items():
             if self.is_big(inst.cid) or self.is_closed3(inst.cid):
                 return False
-        for inst in self.instances_within(cl.vertices, 2, exclude=cl.anchored):
-            if self.is_open3(inst.cid):
+            if d == 2 and self.is_open3(inst.cid):
                 return False
         return True
 
     def _threatened1(self, cl: Cluster) -> bool:
         if self.crowded[cl.cid]:
             return False
-        (v,) = cl.vertices
-        for inst in self.instances_within({v}, 3, exclude=cl.anchored):
-            if self.is_big(inst.cid):
-                return False
-            if self.clusters[inst.cid].size == 3 and not self.threatened[inst.cid]:
-                if self.nearby_from_1cluster(v, inst):
-                    return False
-        return True
-
-    def _needy(self, cl: Cluster) -> bool:
-        return self.needy_support(cl) >= 4
+        reach = self.reach(cl)
+        if any(self.is_big(inst.cid) for inst in reach):
+            return False
+        # nearby only when an unthreatened 3-cluster is within reach at all
+        safe3 = [i for i in reach if self.clusters[i.cid].size == 3 and not self.threatened[i.cid]]
+        return not (safe3 and self.nearby(cl).intersection(safe3))
 
     def needy_support(self, cl: Cluster) -> int:
         """Distinct threatened 1-/3-cluster instances that are nearby cl."""
         if not self.is_open3(cl.cid):
             raise UnsupportedKind("needy support is defined for open 3-clusters")
-        count = 0
-        # radius 3 covers both directions: a nearby 1-cluster sits within
-        # three of the center, a nearby 3-cluster has a leaf within three
-        for inst in self.instances_within(cl.vertices, 3, exclude=cl.anchored):
-            tgt = self.clusters[inst.cid]
-            if tgt.size not in (1, 3) or not self.threatened[inst.cid]:
-                continue
-            if tgt.size == 1:
-                (v,) = self.instance_vertices(inst)
-                if self.nearby_from_1cluster(v, cl.anchored):
-                    count += 1
-            else:
-                leaves = self.instance_leaves(inst)
-                if all(set_distance({lf}, cl.vertices, cap=3) <= 3 for lf in leaves):
-                    count += 1
-        return count
+        # a threatened cluster is uncrowded, and open when it is a 3-cluster
+        return sum(
+            1
+            for inst in self.reach(cl)
+            if self.threatened.get(inst.cid)
+            and Instance(cl.cid, -inst.da, -inst.db) in self.nearby(self.clusters[inst.cid])
+        )
 
     # -- pairing -----------------------------------------------------------
 
@@ -378,38 +354,21 @@ class Classification:
             return False
         if self.crowded[c1.cid] or self.crowded[inst.cid]:
             return False
-        if inst == c1.anchored:
-            return False
-        tv = self.instance_vertices(inst)
-        if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in c1.leaves()):
-            return False
-        return all(
-            set_distance({lf}, c1.vertices, cap=3) <= 3 for lf in self.instance_leaves(inst)
-        )
+        back = Instance(c1.cid, -inst.da, -inst.db)
+        return inst in self.nearby(c1) and back in self.nearby(self.clusters[inst.cid])
 
     def pairs(self) -> list[tuple[Instance, Instance]]:
         """All paired instances, one entry per pair up to translation."""
-        seen = set()
-        out = []
-        for cl in self.clusters:
-            if not self.is_open3(cl.cid) or self.crowded[cl.cid]:
-                continue
-            for inst in self.instances_within(cl.vertices, 3, exclude=cl.anchored):
-                if not self.paired(cl, inst):
-                    continue
-                if cl.cid < inst.cid:
-                    key = (cl.cid, inst.cid, inst.da, inst.db)
-                elif cl.cid > inst.cid:
-                    key = (inst.cid, cl.cid, -inst.da, -inst.db)
-                else:
-                    key = (cl.cid, cl.cid) + min(
-                        (inst.da, inst.db), (-inst.da, -inst.db)
-                    )
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((cl.anchored, inst))
-        return sorted(out)
+        return sorted(
+            (cl.anchored, inst)
+            for cl in self.clusters
+            if self.is_open3(cl.cid) and not self.crowded[cl.cid]
+            for inst in self.nearby(cl)
+            # pairing is symmetric: keep the side with the lower cluster id,
+            # or between two instances of one orbit, the lesser offset
+            if (cl.cid, inst.da, inst.db) < (inst.cid, -inst.da, -inst.db)
+            and self.paired(cl, inst)
+        )
 
     # -- reporting ---------------------------------------------------------
 
@@ -442,22 +401,9 @@ class Classification:
         }
 
     def _nearby_report(self, cl: Cluster):
-        if cl.size == 1 and not self.crowded[cl.cid]:
-            (v,) = cl.vertices
-            insts = [
-                i
-                for i in self.instances_within({v}, 3, exclude=cl.anchored)
-                if self.nearby_from_1cluster(v, i)
-            ]
-        elif cl.size == 3 and self.open_[cl.cid] and not self.crowded[cl.cid]:
-            insts = [
-                i
-                for i in self.instances_within(cl.vertices, 3, exclude=cl.anchored)
-                if self.nearby_from_open3(cl, i)
-            ]
-        else:
-            return None
-        return [self._inst_json(i) for i in insts]
+        if self.crowded.get(cl.cid) is False and (cl.size == 1 or self.open_[cl.cid]):
+            return [self._inst_json(i) for i in sorted(self.nearby(cl))]
+        return None
 
     def _inst_json(self, inst: Instance):
         if self.clusters[inst.cid].infinite:

@@ -16,11 +16,12 @@ the outflow claims can be audited instance-wise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from hexident.hexgrid import Vertex, ball, distance, neighbors, set_distance, share_face
+from hexident.hexgrid import Vertex, neighbors, share_face
 from hexident.code import PeriodicCode
 from hexident.cluster import Classification, Cluster, Instance, UnsupportedKind
 
@@ -170,51 +171,31 @@ def _pay_cluster(cls, final, transfers, rule, donor, recipient_cid, mode=None):
     transfers.append(Transfer(rule, donor, recipient_cid, RULE_AMOUNT, mode))
 
 
+# rules 2 to 4 in precedence order: (rule, mode, qualifies(cls, v, inst))
+# over the instances a 1-cluster v is nearby
+_RESCUE_1 = (
+    (2, None, lambda cls, v, i: cls.is_big(i.cid)),
+    (3, None, lambda cls, v, i: cls.is_closed3(i.cid)),
+    (4, "crowded", lambda cls, v, i: cls.is_open3(i.cid) and cls.crowded[i.cid]),
+    (4, "face", lambda cls, v, i: cls.is_open3(i.cid) and share_face(v, cls.instance_center(i))),
+    (4, None, lambda cls, v, i: cls.is_open3(i.cid)),
+)
+
+
 def _rescue_1cluster(cls: Classification, cl: Cluster, final, transfers, notes):
     (v,) = cl.vertices
-    within3 = cls.instances_within({v}, 3, exclude=cl.anchored)
-    big = [i for i in within3 if cls.is_big(i.cid)]
-    if big:
-        _pay_cluster(cls, final, transfers, 2, min(big, key=lambda i: _donor_key(cls, i)), cl.cid)
-        return
-    closed = [i for i in within3 if cls.is_closed3(i.cid)]
-    if closed:
-        _pay_cluster(cls, final, transfers, 3, min(closed, key=lambda i: _donor_key(cls, i)), cl.cid)
-        return
-    centers = [
-        i
-        for i in within3
-        if cls.is_open3(i.cid) and distance(v, cls.instance_center(i), cap=3) <= 3
-    ]
-    crowded = [i for i in centers if cls.crowded[i.cid]]
-    if crowded:
-        donor = min(crowded, key=lambda i: _donor_key(cls, i))
-        _pay_cluster(cls, final, transfers, 4, donor, cl.cid, mode="crowded")
-        return
-    faced = [i for i in centers if share_face(v, cls.instance_center(i))]
-    if faced:
-        donor = min(faced, key=lambda i: _donor_key(cls, i))
-        _pay_cluster(cls, final, transfers, 4, donor, cl.cid, mode="face")
-        return
-    if centers:
-        donor = min(centers, key=lambda i: _donor_key(cls, i))
-        _pay_cluster(cls, final, transfers, 4, donor, cl.cid)
-        return
+    near = cls.nearby(cl)
+    for rule, mode, qualifies in _RESCUE_1:
+        donors = [i for i in near if qualifies(cls, v, i)]
+        if donors:
+            donor = min(donors, key=lambda i: _donor_key(cls, i))
+            _pay_cluster(cls, final, transfers, rule, donor, cl.cid, mode)
+            return
     notes.append(f"uncrowded 1-cluster {cl.cid} has no qualifying donor")
 
 
 def _rescue_needy(cls: Classification, cl: Cluster, final, transfers, notes):
-    leaves = cl.leaves()
-    donors = []
-    for inst in cls.instances_within(cl.vertices, 3, exclude=cl.anchored):
-        if not cls.is_open3(inst.cid):
-            continue
-        tv = cls.instance_vertices(inst)
-        if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in leaves):
-            continue
-        if cls.paired(cl, inst):
-            continue
-        donors.append(inst)
+    donors = [i for i in cls.nearby(cl) if cls.is_open3(i.cid) and not cls.paired(cl, i)]
     if donors:
         _pay_cluster(cls, final, transfers, 5, min(donors, key=lambda i: _donor_key(cls, i)), cl.cid)
     else:
@@ -239,6 +220,29 @@ def run_main(code: PeriodicCode) -> ChargeLedger:
     return ChargeLedger(code, cls, "main", final, transfers, notes)
 
 
+def _tally(ledger: ChargeLedger):
+    """One pass over the transfers.
+
+    Returns the outflow of every open 3-cluster, the number of rescue
+    payments each donor cluster makes, and the set of rescue payments as
+    (donor cid, recipient cid, donor da, donor db).
+    """
+    cls = ledger.classification
+    flows = {cl.cid: Fraction(0) for cl in cls.clusters if cls.is_open3(cl.cid)}
+    owner = {c: cid for cid in flows for c in cls.clusters[cid].classes}
+    spent: Counter = Counter()
+    paid = set()
+    for t in ledger.transfers:
+        # rule 1 debits a vertex class, the rescue rules a cluster instance
+        cid = owner.get(t.src) if t.rule == 1 else t.src.cid
+        if cid in flows:
+            flows[cid] += t.amount
+        if t.rule != 1:
+            spent[cid] += 1
+            paid.add((cid, t.dst, t.src.da, t.src.db))
+    return flows, spent, paid
+
+
 def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
     """Non-code vertices per vertex, code vertices per cluster total."""
     failures = []
@@ -251,53 +255,16 @@ def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
         total = ledger.cluster_total(cl.cid)
         if total < bound * m:
             failures.append((cl.cid, total))
-    outflows = {
-        cl.cid: outflow(ledger, cl) for cl in cls.clusters if cls.is_open3(cl.cid)
-    }
+    outflows, _, _ = _tally(ledger)
     failures.sort(key=lambda sf: (isinstance(sf[0], int), sf[0] if isinstance(sf[0], int) else tuple(sf[0])))
     return AuditReport(bound, failures, outflows)
 
 
 def outflow(ledger: ChargeLedger, cluster: Cluster) -> Fraction:
     """Total charge one instance of an open 3-cluster sends away."""
-    cls = ledger.classification
-    if not cls.is_open3(cluster.cid):
+    if not ledger.classification.is_open3(cluster.cid):
         raise UnsupportedKind("outflow is defined for open 3-clusters")
-    total = Fraction(0)
-    for t in ledger.transfers:
-        if t.rule == 1:
-            if t.src in cluster.classes:
-                total += t.amount
-        elif t.src.cid == cluster.cid:
-            total += t.amount
-    return total
-
-
-def _received_from_anchored(ledger: ChargeLedger, donor: Cluster, inst: Instance) -> bool:
-    # did the concrete instance `inst` get paid by the anchored donor copy
-    for t in ledger.transfers:
-        if t.rule == 1 or t.dst != inst.cid:
-            continue
-        if t.src.cid == donor.cid and (t.src.da + inst.da, t.src.db + inst.db) == (0, 0):
-            return True
-    return False
-
-
-def _quiet_code_vertex_at_two(ledger: ChargeLedger, cluster: Cluster) -> bool:
-    """Some code vertex at distance exactly two gets nothing from the cluster."""
-    cls = ledger.classification
-    code = ledger.code
-    seen = set()
-    for v in cluster.vertices:
-        for w in ball(v, 2):
-            if w in seen or w in cluster.vertices or not code.contains(w):
-                continue
-            seen.add(w)
-            if set_distance({w}, cluster.vertices, cap=2) != 2:
-                continue
-            if not _received_from_anchored(ledger, cluster, cls.instance_of(w)):
-                return True
-    return False
+    return _tally(ledger)[0][cluster.cid]
 
 
 def claims_report(ledger: ChargeLedger) -> dict:
@@ -310,6 +277,7 @@ def claims_report(ledger: ChargeLedger) -> dict:
     recipients when uncrowded, ten when crowded.
     """
     cls = ledger.classification
+    flows, spent, paid = _tally(ledger)
     cap52 = Fraction(52, 29)
     cap51 = Fraction(51, 29)
     entries = []
@@ -317,12 +285,15 @@ def claims_report(ledger: ChargeLedger) -> dict:
     for cl in cls.clusters:
         if not cls.is_open3(cl.cid):
             continue
-        out = outflow(ledger, cl)
-        quiet = _quiet_code_vertex_at_two(ledger, cl)
-        heavy = any(
-            cls.is_big(i.cid) or cls.is_closed3(i.cid)
-            for i in cls.instances_within(cl.vertices, 3, exclude=cl.anchored)
+        out = flows[cl.cid]
+        reach = cls.reach(cl)
+        # an instance at distance two holds a code vertex at distance two
+        # (none is nearer); cl's anchored instance paid the instance at
+        # offset d exactly when cl at offset -d paid the anchored one
+        quiet = any(
+            d == 2 and (cl.cid, i.cid, -i.da, -i.db) not in paid for i, d in reach.items()
         )
+        heavy = any(cls.is_big(i.cid) or cls.is_closed3(i.cid) for i in reach)
         entry = {
             "cluster": cl.cid,
             "outflow": _frac(out),
@@ -338,8 +309,8 @@ def claims_report(ledger: ChargeLedger) -> dict:
     for cl in cls.clusters:
         if not cls.is_closed3(cl.cid):
             continue
-        paid = sum(1 for t in ledger.transfers if t.rule != 1 and t.src.cid == cl.cid)
+        count = spent[cl.cid]
         cap = 10 if cls.crowded[cl.cid] else 9
-        spending.append({"cluster": cl.cid, "recipients": paid, "cap": cap, "ok": paid <= cap})
-        all_ok = all_ok and paid <= cap
+        spending.append({"cluster": cl.cid, "recipients": count, "cap": cap, "ok": count <= cap})
+        all_ok = all_ok and count <= cap
     return {"open3": entries, "closed3": spending, "ok": all_ok}

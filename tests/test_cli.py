@@ -266,6 +266,19 @@ def test_scan_over_cap_fails_before_any_search(capsys, monkeypatch):
         assert f"domain size {size} exceeds cap 32" in err
 
 
+def test_oversized_code_file_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("a command compiled clauses before checking the cap")
+
+    monkeypatch.setattr(hexident.code, "identifying_constraints", never)
+    path = tmp_path / "huge.txt"
+    path.write_text("period 300 300 0\n0 0 0\n")
+    for cmd in ("verify", "classify", "discharge"):
+        code, out, err = run(capsys, cmd, "--code", str(path))
+        assert (code, out) == (2, "")
+        assert "domain size 180000 exceeds cap 20000" in err
+
+
 def test_output_flag_writes_file(capsys, tmp_path, witness):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "density", "--code", witness, "--output", str(target))

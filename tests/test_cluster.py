@@ -83,7 +83,12 @@ def test_closed_3cluster_and_nearby_1cluster():
     assert not cls.crowded[c3.cid]
     assert not cls.threatened[c3.cid]
     assert not cls.crowded[c1.cid]
-    assert cls.nearby_from_1cluster(Vertex(2, 0, 0), c3.anchored)
+    assert c3.anchored in cls.nearby(c1)
+    try:
+        cls.nearby(c3)
+        raise AssertionError("nearby from a closed 3-cluster accepted")
+    except UnsupportedKind:
+        pass
     # its only nearby 3-cluster is closed, hence unthreatened
     assert not cls.threatened[c1.cid]
     entry = cls.report()["clusters"][c1.cid]
@@ -126,7 +131,7 @@ def test_infinite_strip_dominates_nearby_1cluster():
     one = next(cl for cl in cls.clusters if not cl.infinite)
     assert one.vertices == frozenset({Vertex(2, 0, 0)})
     assert not cls.crowded[one.cid]
-    assert cls.nearby_from_1cluster(Vertex(2, 0, 0), inf.anchored)
+    assert inf.anchored in cls.nearby(one)
     # a 4+-cluster within three kills the threat label
     assert not cls.threatened[one.cid]
     assert cls.instance_of(Vertex(0, 9, 1)) == Instance(inf.cid, 0, 0)
@@ -137,8 +142,7 @@ def test_own_translates_are_instances():
     cls = Classification(code)
     assert len(cls.clusters) == 1
     cl = cls.clusters[0]
-    found = cls.instances_within({Vertex(0, 0, 0)}, 3, exclude=cl.anchored)
-    assert found == [Instance(0, 0, -1), Instance(0, 0, 1)]
+    assert cls.reach(cl) == {Instance(0, 0, -1): 2, Instance(0, 0, 1): 2}
     assert cls.instance_vertices(Instance(0, 0, 1)) == frozenset({Vertex(0, 1, 0)})
 
 

@@ -7,19 +7,24 @@ classification, so validity is switched off to stage rare shapes.
 """
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
-from hexident.hexgrid import PeriodLattice, Vertex
+import pytest
+
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, distance, neighbors, set_distance
 from hexident.code import PeriodicCode, full_code
 from hexident.cluster import Classification, UnsupportedKind
 from hexident.discharge import (
+    ChargeLedger,
     InvalidCode,
     MAIN_TARGET,
     PROP1_TARGET,
     RULE_AMOUNT,
     _rescue_1cluster,
     _rescue_needy,
+    _rule1,
     audit,
     claims_report,
     outflow,
@@ -341,3 +346,244 @@ def test_small_lattice_sweep_exact():
         assert audit(led, PROP1_TARGET).ok
     assert verified == 1545
     assert census[1] == 13752 and census[2] == 48
+
+
+# -- the distance-three relation against its first implementation ---------
+#
+# Before Classification.reach and Classification.nearby, every predicate
+# ran its own ball / set_distance search.  Those searches are kept here as
+# the reference that reach, nearby, needy_support, paired, pairs, the quiet
+# claim and outflow must reproduce exactly.
+
+
+def _ref_within(cls, around, radius, exclude):
+    found = set()
+    for v in around:
+        for w in ball(v, radius):
+            if cls.code.contains(w):
+                found.add(cls.instance_of(w))
+    found.discard(exclude)
+    return sorted(found)
+
+
+def _ref_leaves(cls, inst):
+    return tuple(
+        Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in cls.clusters[inst.cid].leaves()
+    )
+
+
+def _ref_inst_within(cls, src, inst, radius):
+    if cls.clusters[inst.cid].infinite:
+        targets = cls.clusters[inst.cid].classes
+        return any(cls.code.lattice.canonical(w) in targets for v in src for w in ball(v, radius))
+    return set_distance(src, cls.instance_vertices(inst), cap=radius) <= radius
+
+
+def _ref_nearby_from_1cluster(cls, v, inst):
+    if cls.is_big(inst.cid) or cls.is_closed3(inst.cid):
+        return _ref_inst_within(cls, {v}, inst, 3)
+    if cls.is_open3(inst.cid):
+        return distance(v, cls.instance_center(inst), cap=3) <= 3
+    return False
+
+
+def _ref_nearby_from_open3(cls, c1, inst):
+    if cls.is_big(inst.cid) or cls.is_closed3(inst.cid):
+        return _ref_inst_within(cls, c1.vertices, inst, 3)
+    if cls.is_open3(inst.cid):
+        tv = cls.instance_vertices(inst)
+        return all(set_distance({leaf}, tv, cap=3) <= 3 for leaf in c1.leaves())
+    return False
+
+
+def _ref_needy_support(cls, cl):
+    count = 0
+    for inst in _ref_within(cls, cl.vertices, 3, cl.anchored):
+        tgt = cls.clusters[inst.cid]
+        if tgt.size not in (1, 3) or not cls.threatened[inst.cid]:
+            continue
+        if tgt.size == 1:
+            (v,) = cls.instance_vertices(inst)
+            count += _ref_nearby_from_1cluster(cls, v, cl.anchored)
+        else:
+            leaves = _ref_leaves(cls, inst)
+            count += all(set_distance({lf}, cl.vertices, cap=3) <= 3 for lf in leaves)
+    return count
+
+
+def _ref_paired(cls, c1, inst):
+    if not (cls.is_open3(c1.cid) and cls.is_open3(inst.cid)):
+        return False
+    if cls.crowded[c1.cid] or cls.crowded[inst.cid] or inst == c1.anchored:
+        return False
+    tv = cls.instance_vertices(inst)
+    if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in c1.leaves()):
+        return False
+    return all(set_distance({lf}, c1.vertices, cap=3) <= 3 for lf in _ref_leaves(cls, inst))
+
+
+def _ref_pairs(cls):
+    seen = set()
+    out = []
+    for cl in cls.clusters:
+        if not cls.is_open3(cl.cid) or cls.crowded[cl.cid]:
+            continue
+        for inst in _ref_within(cls, cl.vertices, 3, cl.anchored):
+            if not _ref_paired(cls, cl, inst):
+                continue
+            if cl.cid < inst.cid:
+                key = (cl.cid, inst.cid, inst.da, inst.db)
+            elif cl.cid > inst.cid:
+                key = (inst.cid, cl.cid, -inst.da, -inst.db)
+            else:
+                key = (cl.cid, cl.cid) + min((inst.da, inst.db), (-inst.da, -inst.db))
+            if key not in seen:
+                seen.add(key)
+                out.append((cl.anchored, inst))
+    return sorted(out)
+
+
+def _ref_outflow(ledger, cluster):
+    total = Fraction(0)
+    for t in ledger.transfers:
+        if t.rule == 1:
+            if t.src in cluster.classes:
+                total += t.amount
+        elif t.src.cid == cluster.cid:
+            total += t.amount
+    return total
+
+
+def _ref_received_from_anchored(ledger, donor, inst):
+    for t in ledger.transfers:
+        if t.rule == 1 or t.dst != inst.cid:
+            continue
+        if t.src.cid == donor.cid and (t.src.da + inst.da, t.src.db + inst.db) == (0, 0):
+            return True
+    return False
+
+
+def _ref_quiet(ledger, cluster):
+    cls = ledger.classification
+    seen = set()
+    for v in cluster.vertices:
+        for w in ball(v, 2):
+            if w in seen or w in cluster.vertices or not ledger.code.contains(w):
+                continue
+            seen.add(w)
+            if set_distance({w}, cluster.vertices, cap=2) != 2:
+                continue
+            if not _ref_received_from_anchored(ledger, cluster, cls.instance_of(w)):
+                return True
+    return False
+
+
+def _unchecked_main(code):
+    """run_main without the validity check, so arbitrary sets get a ledger:
+    rule 1 runs when every non-code vertex has a code neighbor."""
+    cls = Classification(code)
+    final = {v: Fraction(1 if v in code.members else 0) for v in code.lattice.domain()}
+    transfers, notes = [], []
+    if all(any(code.contains(u) for u in neighbors(w)) for w in final if w not in code.members):
+        _rule1(code, 29, final, transfers)
+    for cl in cls.clusters:
+        if cl.size == 1 and not cls.crowded[cl.cid]:
+            _rescue_1cluster(cls, cl, final, transfers, notes)
+    for cl in cls.clusters:
+        if cl.size == 3 and cls.needy.get(cl.cid):
+            _rescue_needy(cls, cl, final, transfers, notes)
+    return ChargeLedger(code, cls, "main", final, transfers, notes)
+
+
+def _planted(rng):
+    """Random non-touching 1-clusters and 3-paths on an 8-12 x 8-12 lattice."""
+    p = rng.randint(8, 12)
+    lat = PeriodLattice(p, rng.randint(8, 12), rng.randrange(p))
+    share1 = rng.uniform(0.3, 0.6)
+    members = set()
+    for _ in range(rng.randint(8, 30)):
+        v = Vertex(rng.randrange(lat.p), rng.randrange(lat.q), rng.randrange(2))
+        shape = [v] if rng.random() < share1 else [v, *rng.sample(neighbors(v), 2)]
+        classes = {lat.canonical(w) for w in shape}
+        rim = {lat.canonical(x) for w in shape for x in neighbors(w)}
+        if len(classes) == len(shape) and not (classes | rim) & members:
+            members |= classes
+    return PeriodicCode(lat, frozenset(members))
+
+
+def _relation_corpus(kind):
+    if kind == "fixtures":
+        return [
+            bare(12, 12, [U23, CLOSER] + BIG4 + CLOSED3),
+            bare(12, 12, [U23, CLOSER] + CLOSED3),
+            bare(12, 12, [U4A, U4B, U4C] + CROWDERS + FACE3 + PLAIN_BYSTANDER + PLAIN3
+                 + CROWDED3 + FACE_BYSTANDER),
+            bare(12, 12, NEEDY3 + RING + DONOR3),
+            bare(12, 12, NEEDY3 + RING),
+            bare(8, 8, [(2, 7, 1), (3, 7, 0), (3, 6, 1), (2, 6, 0), (2, 5, 1), (3, 5, 0)]),
+            frozen(RULE2_CODE),
+            frozen(RULE3_CODE),
+            sub0(),
+        ]
+    if kind == "planted":
+        rng = random.Random(20261020)
+        return [_planted(rng) for _ in range(200)]
+    rng = random.Random(20261021)
+    lattices = list(all_lattices(48))
+    codes = []
+    for _ in range(300):
+        lat = rng.choice(lattices)
+        density = rng.uniform(0.2, 0.6)
+        codes.append(PeriodicCode(lat, frozenset(v for v in lat.domain() if rng.random() < density)))
+    return codes
+
+
+@pytest.mark.parametrize("kind", ["fixtures", "planted", "arbitrary"])
+def test_relation_matches_reference_searches(kind):
+    seen = Counter()
+    for code in _relation_corpus(kind):
+        led = _unchecked_main(code)
+        cls = led.classification
+        claims = claims_report(led)
+        quiet = {entry["cluster"]: entry["quietAtTwo"] for entry in claims["open3"]}
+        assert audit(led, MAIN_TARGET).outflows == {
+            cl.cid: _ref_outflow(led, cl) for cl in cls.clusters if cls.is_open3(cl.cid)
+        }
+        for cl in cls.clusters:
+            if cl.size not in (1, 3):
+                continue
+            reach = cls.reach(cl)
+            for radius in (2, 3):
+                want = _ref_within(cls, cl.vertices, radius, cl.anchored)
+                assert sorted(i for i, d in reach.items() if d <= radius) == want
+            within3 = _ref_within(cls, cl.vertices, 3, cl.anchored)
+            for inst in within3:
+                assert cls.paired(cl, inst) == _ref_paired(cls, cl, inst)
+                seen["paired"] += cls.paired(cl, inst)
+            if cl.size == 1:
+                (v,) = cl.vertices
+                want = {i for i in within3 if _ref_nearby_from_1cluster(cls, v, i)}
+            elif cls.is_open3(cl.cid):
+                want = {i for i in within3 if _ref_nearby_from_open3(cls, cl, i)}
+                support = cls.needy_support(cl)
+                assert support == _ref_needy_support(cls, cl)
+                assert outflow(led, cl) == _ref_outflow(led, cl)
+                assert quiet[cl.cid] == _ref_quiet(led, cl)
+                seen["support"] += support > 0
+                seen["quiet"] += quiet[cl.cid]
+                seen["loud"] += not quiet[cl.cid]
+            else:
+                continue
+            assert cls.nearby(cl) == frozenset(want)
+            seen["nearby"] += len(want)
+        assert cls.pairs() == _ref_pairs(cls)
+        seen["rule1"] += any(t.rule == 1 for t in led.transfers)
+        seen.update(f"rule{t.rule}{t.mode or ''}" for t in led.transfers if t.rule != 1)
+    # each corpus reaches the cases it is here for
+    floors = {
+        "fixtures": ("rule2", "rule3", "rule4face", "rule4crowded", "rule4", "rule5", "paired"),
+        "planted": ("rule3", "rule4face", "rule4crowded", "rule4", "paired", "support"),
+        "arbitrary": ("rule1", "rule2", "rule3", "rule4crowded", "support"),
+    }[kind]
+    for key in floors + ("nearby", "quiet", "loud"):
+        assert seen[key] > 0, (key, dict(seen))
