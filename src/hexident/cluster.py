@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from hexident.hexgrid import Vertex, ball, layers, neighbors, sphere
@@ -111,9 +112,6 @@ class Classification:
 
         self._reach: dict[int, dict[Instance, int]] = {}
         self._nearby: dict[int, frozenset[Instance]] = {}
-        self.threatened: dict[int, bool] = {}
-        self.needy: dict[int, bool] = {}
-        self._label_threats()
 
     # -- component extraction --------------------------------------------
 
@@ -302,17 +300,25 @@ class Classification:
 
     # -- threatened / needy ------------------------------------------------
 
-    def _label_threats(self):
+    # Both label maps are computed on first use, so callers that read only
+    # clusters and shape labels skip the distance-three searches.
+
+    @cached_property
+    def threatened(self) -> dict[int, bool]:
         # 3-clusters first; 1-cluster threat reads their labels
-        for cl in self.clusters:
-            if cl.size == 3:
-                self.threatened[cl.cid] = self._threatened3(cl)
+        labels = {cl.cid: self._threatened3(cl) for cl in self.clusters if cl.size == 3}
         for cl in self.clusters:
             if cl.size == 1:
-                self.threatened[cl.cid] = self._threatened1(cl)
-        for cl in self.clusters:
-            if cl.size == 3:
-                self.needy[cl.cid] = self.threatened[cl.cid] and self.needy_support(cl) >= 4
+                labels[cl.cid] = self._threatened1(cl, labels)
+        return labels
+
+    @cached_property
+    def needy(self) -> dict[int, bool]:
+        return {
+            cl.cid: self.threatened[cl.cid] and self.needy_support(cl) >= 4
+            for cl in self.clusters
+            if cl.size == 3
+        }
 
     def _threatened3(self, cl: Cluster) -> bool:
         if self.crowded[cl.cid] or not self.open_[cl.cid]:
@@ -324,14 +330,14 @@ class Classification:
                 return False
         return True
 
-    def _threatened1(self, cl: Cluster) -> bool:
+    def _threatened1(self, cl: Cluster, threatened3: dict[int, bool]) -> bool:
         if self.crowded[cl.cid]:
             return False
         reach = self.reach(cl)
         if any(self.is_big(inst.cid) for inst in reach):
             return False
         # nearby only when an unthreatened 3-cluster is within reach at all
-        safe3 = [i for i in reach if self.clusters[i.cid].size == 3 and not self.threatened[i.cid]]
+        safe3 = [i for i in reach if self.clusters[i.cid].size == 3 and not threatened3[i.cid]]
         return not (safe3 and self.nearby(cl).intersection(safe3))
 
     def needy_support(self, cl: Cluster) -> int:

@@ -43,6 +43,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # at most this many undecided window vertices may be enumerated (2^48 guard)
 ENUMERATION_CAP = 48
 
+# at most this many vertices in the engine's universe (the window, its pins
+# and GROWTH_MARGIN rings); the distance masks grow as its square
+UNIVERSE_CAP = 2048
+
 # how far past the window the engine reasons about cluster growth; beyond
 # this margin everything is permanently unknown
 GROWTH_MARGIN = 2
@@ -56,7 +60,7 @@ LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5partition")
 
 
 class RegionTooLarge(ValueError):
-    """The window has more undecided vertices than the enumeration cap."""
+    """The window exceeds the universe cap or the enumeration cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,8 @@ def parse_template(text: str, name: str = "window") -> Template:
         if len(parts) != 4:
             raise ValueError("expected 'a b s STATUS', got %r" % raw)
         a, b, s = int(parts[0]), int(parts[1]), int(parts[2])
+        if s not in (0, 1):
+            raise ValueError("vertex sublattice must be 0 or 1: %r" % raw)
         st = parts[3].upper()
         if st not in _STATUS_RANK:
             raise ValueError("bad status %r" % parts[3])
@@ -384,26 +390,27 @@ class _Engine:
     Pairs farther apart are always distinguished, so these rules are
     complete for windows that are balls of an identifying code.  Both rules
     propagate: a last undecided slot with no IN elsewhere is forced IN.
+
+    The engine is the only reader of a window's pinned statuses: it keeps
+    them as the masks pinned_in and pinned_out, and assigns them first.
     """
 
     def __init__(self, region: Iterable[Vertex], constraints: Optional[Mapping[Vertex, str]] = None):
         constraints = dict(constraints or {})
         region = tuple(sorted(set(region)))
         region_set = set(region)
-
-        pinned_unknown = set()
-        decided_constraints = {}
         for v, st in constraints.items():
-            if st == UNKNOWN:
-                if v in region_set and all(w in region_set for w in neighbors(v)):
-                    raise ValueError("interior vertex %r may not stay UNKNOWN" % (v,))
-                pinned_unknown.add(v)
-            elif st in (IN, OUT):
-                decided_constraints[v] = st
-            else:
+            if st not in _STATUS_RANK:
                 raise ValueError("bad constraint status %r" % (st,))
+            if st == UNKNOWN and v in region_set and all(w in region_set for w in neighbors(v)):
+                raise ValueError("interior vertex %r may not stay UNKNOWN" % (v,))
 
-        universe = set().union(*layers(region_set | set(decided_constraints), GROWTH_MARGIN))
+        seeds = region_set.union(v for v, st in constraints.items() if st != UNKNOWN)
+        universe = set().union(*layers(seeds, GROWTH_MARGIN))
+        if len(universe) > UNIVERSE_CAP:
+            raise RegionTooLarge(
+                "%d universe vertices exceed the universe cap of %d" % (len(universe), UNIVERSE_CAP)
+            )
 
         self.verts: Tuple[Vertex, ...] = tuple(sorted(universe))
         self.index: Dict[Vertex, int] = dict(zip(self.verts, range(len(self.verts))))
@@ -412,41 +419,42 @@ class _Engine:
         self.region = region
         self.region_idx: Tuple[int, ...] = tuple(self.index[v] for v in region)
 
-        self.nb: List[Tuple[Optional[int], ...]] = []
+        # the pins as universe masks: the only copy of a window's pinned
+        # statuses that anything past this point reads
+        pinned = {IN: 0, OUT: 0, UNKNOWN: 0}
+        for v, st in constraints.items():
+            if v in self.index:
+                pinned[st] |= 1 << self.index[v]
+        self.pinned_in: int = pinned[IN]
+        self.pinned_out: int = pinned[OUT]
+
         self.nb_in: List[Tuple[int, ...]] = []
         self.nb_full: List[bool] = []
-        for v in self.verts:
-            row = tuple(self.index.get(w) for w in neighbors(v))
-            self.nb.append(row)
-            self.nb_in.append(tuple(j for j in row if j is not None))
-            self.nb_full.append(all(j is not None for j in row))
-
         self.nbmask: List[int] = []
-        for i in range(n):
-            m = 1 << i
-            for j in self.nb_in[i]:
-                m |= 1 << j
-            self.nbmask.append(m)
+        for i, v in zip(range(n), self.verts):
+            row = tuple(self.index[w] for w in neighbors(v) if w in self.index)
+            self.nb_in.append(row)
+            self.nb_full.append(len(row) == 3)
+            self.nbmask.append(_mask(row + (i,)))
 
-        # identifier-pair constraints: vertices at distance <= 2 whose
-        # closed neighborhoods both lie inside the universe
-        self.pairs: List[int] = []
-        self.pairs_touching: List[List[int]] = [[] for _ in range(n)]
+        # both feasibility rules as positive clauses (some vertex of the
+        # mask is IN), listed under each of their vertices: the closed
+        # neighborhood of a vertex, and the symmetric difference of two
+        # closed neighborhoods at distance <= 2, wherever those lie inside
+        # the universe
+        self.clauses: List[List[int]] = [[] for _ in range(n)]
         for i in range(n):
             if not self.nb_full[i]:
                 continue
             cands = set(self.nb_in[i])
             for m in self.nb_in[i]:
                 cands.update(self.nb_in[m])
-            cands.discard(i)
-            for j in sorted(cands):
-                if j < i or not self.nb_full[j]:
-                    continue
-                delta = self.nbmask[i] ^ self.nbmask[j]
-                pid = len(self.pairs)
-                self.pairs.append(delta)
-                for t in set_bits(delta):
-                    self.pairs_touching[t].append(pid)
+            own = [self.nbmask[i]]
+            own += [self.nbmask[i] ^ self.nbmask[j]
+                    for j in sorted(cands) if j > i and self.nb_full[j]]
+            for clause in own:
+                for t in set_bits(clause):
+                    self.clauses[t].append(clause)
 
         # grid distances as masks: within[r][i] holds the universe vertices
         # at distance <= r from vertex i, and ring2[i] those at exactly two.
@@ -474,17 +482,12 @@ class _Engine:
         self.nodes = 0
         self.aborted = False
 
-        self.base_ok = True
-        for v in sorted(decided_constraints):
-            if not self.assign(self.index[v], decided_constraints[v] == IN):
-                self.base_ok = False
-                break
-
-        self.free_idx: Tuple[int, ...] = tuple(
-            i for i in self.region_idx
-            if not (self.dec >> i) & 1 and self.verts[i] not in pinned_unknown
-        )
-        if len(self.free_idx) > ENUMERATION_CAP:
+        pins = self.pinned_in | self.pinned_out
+        self.base_ok = all(self.assign(i, bool(self.pinned_in >> i & 1)) for i in set_bits(pins))
+        fixed = self.dec | pinned[UNKNOWN]
+        self.free_idx: Tuple[int, ...] = tuple(i for i in self.region_idx if not fixed >> i & 1)
+        # an infeasible window enumerates nothing, however large
+        if self.base_ok and len(self.free_idx) > ENUMERATION_CAP:
             raise RegionTooLarge(
                 "%d undecided vertices exceed the cap of %d" % (len(self.free_idx), ENUMERATION_CAP)
             )
@@ -528,27 +531,14 @@ class _Engine:
                     return False
                 continue
             self.dec |= b
-            if v:
-                self.mem |= b
             self.trail.append(i)
-            # identifier emptiness around i
-            for j in (i,) + self.nb_in[i]:
-                if not self.nb_full[j]:
+            if v:
+                self.mem |= b  # satisfies every clause through i
+                continue
+            for clause in self.clauses[i]:
+                if clause & self.mem:
                     continue
-                m = self.nbmask[j]
-                if m & self.mem:
-                    continue
-                und = m & ~self.dec
-                if und == 0:
-                    return False
-                if und & (und - 1) == 0:
-                    todo.append((und.bit_length() - 1, True))
-            # identifier pairs through i
-            for pid in self.pairs_touching[i]:
-                dmask = self.pairs[pid]
-                if dmask & self.mem:
-                    continue
-                und = dmask & ~self.dec
+                und = clause & ~self.dec
                 if und == 0:
                     return False
                 if und & (und - 1) == 0:
@@ -612,15 +602,27 @@ class _Engine:
                 return
 
     def snapshot(self) -> WindowConfig:
-        sts = []
-        for i in self.region_idx:
-            if not self.decided(i):
-                sts.append(UNKNOWN)
-            else:
-                sts.append(IN if self.is_in(i) else OUT)
+        dec, mem = self.dec, self.mem
+        sts = [(IN if mem >> i & 1 else OUT) if dec >> i & 1 else UNKNOWN for i in self.region_idx]
         return WindowConfig(self.region, tuple(sts))
 
     # -- decided components ------------------------------------------------
+
+    def split(self, mask: int) -> List[_Comp]:
+        """The connected components of a mask of universe indices, as
+        records ordered by least member."""
+        comps = []
+        while mask:
+            comp = grow = mask & -mask
+            while grow:
+                reach = 0
+                for i in set_bits(grow):
+                    reach |= self.nbmask[i]
+                grow = reach & mask & ~comp
+                comp |= grow
+            mask &= ~comp
+            comps.append(self.comp(tuple(set_bits(comp))))
+        return comps
 
     def components(self) -> List[_Comp]:
         """Decided-IN components of the universe, ordered by least member.
@@ -629,19 +631,7 @@ class _Engine:
         modify it.
         """
         if self._comps_mem != self.mem:
-            comps = []
-            rest = self.mem
-            while rest:
-                comp = grow = rest & -rest
-                while grow:
-                    reach = 0
-                    for i in set_bits(grow):
-                        reach |= self.nbmask[i]
-                    grow = reach & rest & ~comp
-                    comp |= grow
-                rest &= ~comp
-                comps.append(self.comp(tuple(set_bits(comp))))
-            self._comps = comps
+            self._comps = self.split(self.mem)
             self._comps_mem = self.mem
         return self._comps
 
@@ -851,14 +841,16 @@ def _cert_unthreat(eng: _Engine, c: _Comp, comps: Sequence[_Comp]) -> bool:
 
 class _LemmaState:
     """Base for per-lemma evaluation over engine states.  anchors are the
-    records of the pinned clusters, given as sorted vertex tuples."""
+    records of the pinned clusters, as _make_state picked and checked them;
+    around[k] holds the grid distance layers 0..3 of anchor k."""
 
     lemma_id = ""
 
-    def __init__(self, eng: _Engine, anchors: Sequence[Tuple[Vertex, ...]]):
+    def __init__(self, eng: _Engine, anchors: Sequence[_Comp]):
         self.eng = eng
-        self.anchors = tuple(eng.comp(tuple(eng.index[v] for v in a)) for a in anchors)
+        self.anchors = tuple(anchors)
         self.anchor_mask = _mask(i for a in self.anchors for i in a.members)
+        self.around = [layers([eng.verts[i] for i in a.members], 3) for a in self.anchors]
 
     # hypothesis certainly false on the current (partial) assignment
     def hyp_false(self) -> bool:
@@ -918,28 +910,6 @@ class _LemmaState:
         raise NotImplementedError
 
 
-def _anchor_components(constraints: Mapping[Vertex, str]) -> List[Tuple[Vertex, ...]]:
-    ins = sorted(v for v, st in constraints.items() if st == IN)
-    in_set = set(ins)
-    comps = []
-    seen = set()
-    for v in ins:
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbors(u):
-                if w in in_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 _CERTIFY_DEPTH = 14
 _CERTIFY_NODES = 6000
 
@@ -982,18 +952,10 @@ class _L1State(_LemmaState):
 
     lemma_id = "L1"
 
-    def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        if len(anchor) != 1:
-            raise ValueError("window must pin exactly one lone code vertex")
-        super().__init__(eng, [anchor])
-        v0 = eng.index[anchor[0]]
-        for u in eng.nb_in[v0]:
-            if not (eng.decided(u) and not eng.is_in(u)):
-                raise ValueError("the lone vertex's neighborhood must be pinned OUT")
-        if not eng.nb_full[v0]:
-            raise ValueError("the lone vertex's neighborhood must lie in the window")
-        self._set_zone(ball(anchor[0], 3))
-        self.near_mask = eng.within[3][v0] & ~self.anchor_mask
+    def __init__(self, eng, anchors):
+        super().__init__(eng, anchors)
+        self._set_zone(set().union(*self.around[0]))
+        self.near_mask = eng.within[3][self.anchors[0].members[0]] & ~self.anchor_mask
 
     def hyp_false(self) -> bool:
         return _cert_crowded(self.eng, self.anchors[0])
@@ -1052,12 +1014,10 @@ class _L2State(_LemmaState):
 
     lemma_id = "L2"
 
-    def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        if len(anchor) != 3:
-            raise ValueError("window must pin exactly one 3-cluster")
-        super().__init__(eng, [anchor])
+    def __init__(self, eng, anchors):
+        super().__init__(eng, anchors)
         self.anchor = self.anchors[0]
-        self._set_zone(set().union(*layers(anchor, 3)[2:]))
+        self._set_zone(set().union(*self.around[0][2:]))
 
     def hyp_false(self) -> bool:
         return _open(self.eng, self.anchor)
@@ -1127,8 +1087,10 @@ class _ThreatState(_LemmaState):
     distance-three balls of the pinned centers, cluster_balls those of the
     pinned clusters."""
 
-    center_balls: List[frozenset]
-    cluster_balls: List[frozenset]
+    def __init__(self, eng, anchors):
+        super().__init__(eng, anchors)
+        self.center_balls = [ball(eng.verts[a.center], 3) for a in self.anchors]
+        self.cluster_balls = [set().union(*around) for around in self.around]
 
     def _unqual(self, c, comps) -> bool:
         eng = self.eng
@@ -1146,16 +1108,11 @@ class _L3State(_ThreatState):
 
     lemma_id = "L3"
 
-    def __init__(self, eng, anchor: Tuple[Vertex, ...]):
-        if len(anchor) != 3:
-            raise ValueError("window must pin exactly one 3-cluster")
-        super().__init__(eng, [anchor])
+    def __init__(self, eng, anchors):
+        super().__init__(eng, anchors)
         self.anchor = self.anchors[0]
         leaves = [i for i in self.anchor.members if i != self.anchor.center]
-        around = layers(anchor, 3)
-        self._set_zone(set().union(*around[1:]))
-        self.center_balls = [ball(eng.verts[self.anchor.center], 3)]
-        self.cluster_balls = [set().union(*around)]
+        self._set_zone(set().union(*self.around[0][1:]))
         self.leaf_balls = tuple(ball(eng.verts[l], 3) for l in leaves)
         self.near_masks = [eng.within[3][l] & ~self.anchor_mask for l in leaves]
 
@@ -1207,16 +1164,12 @@ class _L4State(_ThreatState):
 
     lemma_id = "L4"
 
-    def __init__(self, eng, anchors: Sequence[Tuple[Vertex, ...]]):
-        if len(anchors) != 2 or any(len(a) != 3 for a in anchors):
-            raise ValueError("window must pin exactly two 3-clusters")
+    def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
         for a, other in zip(self.anchors, reversed(self.anchors)):
             if any(not eng.within[3][l] & other.mask for l in a.members if l != a.center):
                 raise ValueError("pinned clusters are not paired")
-        self.cluster_balls = [set().union(*layers(a, 3)) for a in anchors]
-        self.center_balls = [ball(eng.verts[a.center], 3) for a in self.anchors]
-        self._set_zone(set().union(*self.cluster_balls).difference(*anchors))
+        self._set_zone(set().union(*self.cluster_balls).difference(*(a[0] for a in self.around)))
 
     def hyp_false(self) -> bool:
         return any(_cert_crowded(self.eng, a) for a in self.anchors)
@@ -1275,51 +1228,28 @@ _STATE_BY_LEMMA = {"L1": _L1State, "L2": _L2State, "L3": _L3State, "L4": _L4Stat
 
 
 def _radius_window(lemma_id: str, radius: int) -> Template:
-    """A ball window around a canonical pinned hypothesis."""
+    """A ball window around the pinned hypothesis of the lemma's default
+    template; pins beyond the ball stay as halo rows."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    rows: Dict[Vertex, str] = {}
-
-    def pin(v, st):
-        rows[v] = st
-
+    # the window holds the ball of this radius around a pinned vertex, which
+    # has 1 + 3r(r+1)/2 vertices; refuse a large one before building it
+    size = 1 + 3 * radius * (radius + 1) // 2
+    if size > UNIVERSE_CAP:
+        raise RegionTooLarge(
+            "a radius-%d window holds at least %d vertices, over the universe cap of %d"
+            % (radius, size, UNIVERSE_CAP)
+        )
+    pins = TEMPLATES[_DEFAULT_TEMPLATE[lemma_id]].constraints()
     if lemma_id == "L1":
-        v0 = Vertex(0, 0, 1)
-        pin(v0, IN)
-        for u in neighbors(v0):
-            pin(u, OUT)
-        core = [v0]
-    elif lemma_id in ("L2", "L3"):
-        c1 = (Vertex(0, 0, 1), Vertex(1, 0, 0), Vertex(1, 0, 1))
-        center = Vertex(1, 0, 0)
-        w = Vertex(1, -1, 1)
-        for v in c1:
-            pin(v, IN)
-        for leaf in (c1[0], c1[2]):
-            for u in neighbors(leaf):
-                if u not in c1:
-                    pin(u, OUT)
-        pin(w, OUT)
-        core = list(c1)
-        if lemma_id == "L3":
-            for x in neighbors(w):
-                if x != center:
-                    pin(x, OUT)
-    else:
-        # the paired clusters and their pinned surroundings, shifted so the
-        # upper cluster sits at the origin row
-        da, db = 0, -3
-        for v, st in TEMPLATES["fig5"].constraints().items():
-            pin(Vertex(v.a + da, v.b + db, v.s), st)
-        core = [v for v, st in rows.items() if st == IN]
-    region = sorted(set().union(*layers(core, radius)))
-    lines = []
-    for v in region:
-        lines.append((v, rows.get(v, UNKNOWN)))
-    for v in sorted(rows):
-        if v not in set(region):
-            lines.append((v, rows[v]))
-    return Template("ball-r%d" % radius, tuple(lines))
+        # the lone vertex and its neighborhood, without the two normalized
+        # distance-two witnesses
+        lone = Vertex(1, 1, 1)
+        pins = {v: pins[v] for v in (lone,) + neighbors(lone)}
+    region = set().union(*layers([v for v, st in pins.items() if st == IN], radius))
+    rows = [(v, pins.get(v, UNKNOWN)) for v in sorted(region)]
+    rows += [(v, pins[v]) for v in sorted(pins) if v not in region]
+    return Template("ball-r%d" % radius, tuple(rows))
 
 
 def _resolve_template(lemma_id: str, radius, template) -> Template:
@@ -1341,8 +1271,8 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
     """Check one structural lemma over every feasible window assignment.
 
     With a template (default: the built-in window for the lemma) the pinned
-    window is enumerated; with a radius, a ball window around a canonical
-    pinned hypothesis is used instead.  L5partition ignores templates and
+    window is enumerated; with a radius, a ball window around the pins of
+    the default window is used instead.  L5partition ignores templates and
     sweeps cluster shapes up to the given size (default 8).
     """
     if lemma_id not in LEMMA_IDS:
@@ -1352,8 +1282,7 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
 
     tpl = _resolve_template(lemma_id, radius, template)
     eng = _Engine(tpl.region(), tpl.constraints())
-    anchors = _anchor_components(tpl.constraints())
-    state = _make_state(lemma_id, eng, anchors, tpl.constraints())
+    state = _make_state(lemma_id, eng)
 
     settled = [0]
     open_configs = [0]
@@ -1410,27 +1339,27 @@ def _settle(state: _LemmaState) -> str:
     return COUNTEREXAMPLE if state.refuted() else INCONCLUSIVE
 
 
-def _make_state(lemma_id, eng, anchors, constraints) -> _LemmaState:
+def _make_state(lemma_id: str, eng: _Engine) -> _LemmaState:
+    """The lemma's state on the engine.  Its anchors are the pinned-IN
+    clusters the lemma is about: for L1 the lone vertex whose three
+    neighbors are pinned OUT, for L2 and L3 one 3-cluster, for L4 two."""
+    pinned = eng.split(eng.pinned_in)
     if lemma_id == "L1":
-        singles = [a for a in anchors
-                   if len(a) == 1 and all(constraints.get(w) == OUT for w in neighbors(a[0]))]
-        if len(singles) != 1:
-            raise ValueError("window must pin exactly one sealed lone code vertex")
-        return _L1State(eng, singles[0])
-    triples = [a for a in anchors if len(a) == 3]
-    if lemma_id in ("L2", "L3"):
-        if len(triples) != 1:
-            raise ValueError("window must pin exactly one 3-cluster")
-        return _STATE_BY_LEMMA[lemma_id](eng, triples[0])
-    if len(triples) != 2:
-        raise ValueError("window must pin exactly two 3-clusters")
-    return _L4State(eng, triples)
+        # a 1-member component is sealed when its rim is three pinned-OUT
+        # neighbors
+        anchors = [a for a in pinned
+                   if len(a.members) == 1 and (a.rim & eng.pinned_out).bit_count() == 3]
+        want = "one sealed lone code vertex"
+    else:
+        anchors = [a for a in pinned if len(a.members) == 3]
+        want = "two 3-clusters" if lemma_id == "L4" else "one 3-cluster"
+    if len(anchors) != (2 if lemma_id == "L4" else 1):
+        raise ValueError("window must pin exactly " + want)
+    return _STATE_BY_LEMMA[lemma_id](eng, anchors)
 
 
 def _lex_least_counterexample(tpl: Template, lemma_id: str) -> Optional[WindowConfig]:
-    eng = _Engine(tpl.region(), tpl.constraints())
-    anchors = _anchor_components(tpl.constraints())
-    state = _make_state(lemma_id, eng, anchors, tpl.constraints())
+    state = _make_state(lemma_id, _Engine(tpl.region(), tpl.constraints()))
     found: List[Optional[WindowConfig]] = [None]
 
     def on_leaf(e):
@@ -1438,7 +1367,7 @@ def _lex_least_counterexample(tpl: Template, lemma_id: str) -> Optional[WindowCo
             found[0] = e.snapshot()
             e.aborted = True
 
-    eng.search(on_leaf, try_prune=state.prune, static_order=True)
+    state.eng.search(on_leaf, try_prune=state.prune, static_order=True)
     return found[0]
 
 

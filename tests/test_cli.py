@@ -11,7 +11,7 @@ import hexident
 from hexident import optimize
 from hexident.cli import main
 from hexident.hexgrid import PeriodLattice
-from hexident.lemma_lab import TEMPLATES, save_template
+from hexident.lemma_lab import TEMPLATES, UNIVERSE_CAP, save_template
 from hexident.optimize import SearchSpec, minimum_code, plant_isolated_pair
 
 
@@ -195,6 +195,27 @@ def test_check_lemma_radius_and_template_conflict(capsys):
                        "--radius", "3")
     assert code == 2
     assert err
+
+
+def test_check_lemma_bad_sublattice_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "window.txt"
+    path.write_text("0 0 1 IN\n0 0 0 OUT\n1 0 0 OUT\n0 1 0 OUT\n5 5 2 UNKNOWN\n")
+    code, out, err = run(capsys, "check-lemma", "--id", "L1", "--template", str(path))
+    assert (code, out) == (2, "")
+    assert "sublattice must be 0 or 1" in err
+
+
+def test_check_lemma_universe_cap_fails_before_enumeration_cap(capsys, tmp_path):
+    # both windows also exceed the enumeration cap; the message shows which
+    # check ran first
+    rows = ["0 0 1 IN", "0 0 0 OUT", "1 0 0 OUT", "0 1 0 OUT"]
+    rows += ["%d 40 0 OUT" % a for a in range(12000)]
+    path = tmp_path / "huge.txt"
+    path.write_text("\n".join(rows) + "\n")
+    for window in (("--template", str(path)), ("--radius", "200")):
+        code, out, err = run(capsys, "check-lemma", "--id", "L1", *window)
+        assert (code, out) == (2, "")
+        assert "universe cap of %d" % UNIVERSE_CAP in err
 
 
 # ---------------------------------------------------------------------------

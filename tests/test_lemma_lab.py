@@ -45,6 +45,13 @@ def shell(shape):
 V0 = Vertex(0, 0, 1)
 
 
+def pinned_clusters(tpl):
+    """The connected sets of a template's pinned-IN vertices, as the
+    engine splits them: sorted vertex tuples, ordered by least member."""
+    eng = ll._Engine(tpl.region(), tpl.constraints())
+    return [tuple(eng.verts[i] for i in c.members) for c in eng.split(eng.pinned_in)]
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -134,6 +141,8 @@ def test_parse_template_rejects_bad_rows():
         parse_template("0 0 0 MAYBE")
     with pytest.raises(ValueError):
         parse_template("0 0 IN")
+    with pytest.raises(ValueError, match="sublattice"):
+        parse_template("0 0 7 IN")
 
 
 def test_template_registry_shapes():
@@ -143,7 +152,7 @@ def test_template_registry_shapes():
     # one sealed lone vertex for the first window, one pinned 3-path for the
     # next two, two pinned 3-paths for the paired windows
     for name, want in (("fig3b", 1), ("fig4", 1), ("fig5", 2), ("fig6", 2)):
-        comps = ll._anchor_components(TEMPLATES[name].constraints())
+        comps = pinned_clusters(TEMPLATES[name])
         assert sum(1 for c in comps if len(c) == 3) == want
 
 
@@ -238,19 +247,153 @@ _PINNED_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes", _PINNED_COUNTS)
-def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes):
+def _counted_check(monkeypatch, lemma_id, **kwargs):
+    """The verdict, the settled count and the search nodes of every engine
+    search the check ran."""
     searched = []
     search = ll._Engine.search
 
-    def counted(eng, *args, **kwargs):
+    def counted(eng, *args, **kw):
         before = eng.nodes
-        search(eng, *args, **kwargs)
+        search(eng, *args, **kw)
         searched.append(eng.nodes - before)
 
     monkeypatch.setattr(ll._Engine, "search", counted)
-    v = check_lemma(lemma_id, template=template, node_cap=node_cap)
-    assert (v.result, v.configs_explored, searched) == (result, settled, [nodes])
+    v = check_lemma(lemma_id, **kwargs)
+    return v.result, v.configs_explored, searched
+
+
+@pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes", _PINNED_COUNTS)
+def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes):
+    got = _counted_check(monkeypatch, lemma_id, template=template, node_cap=node_cap)
+    assert got == (result, settled, [nodes])
+
+
+# the same for ball windows around the default templates' pins
+@pytest.mark.parametrize("lemma_id,radius,result,settled,nodes", [
+    ("L1", 2, INCONCLUSIVE, 16, 31),
+    ("L3", 3, VERIFIED, 178, 355),
+    ("L4", 2, INCONCLUSIVE, 130, 259),
+])
+def test_radius_window_counters_pinned(monkeypatch, lemma_id, radius, result, settled, nodes):
+    got = _counted_check(monkeypatch, lemma_id, radius=radius, node_cap=3000)
+    assert got == (result, settled, [nodes])
+
+
+def test_radius_window_keeps_template_pins():
+    # the ball holds every pin of the default template within the radius,
+    # except the lone vertex's normalized witnesses, and halo rows for the rest
+    for lemma_id, name in ll._DEFAULT_TEMPLATE.items():
+        tpl = ll._radius_window(lemma_id, 2)
+        pins = TEMPLATES[name].constraints()
+        if lemma_id == "L1":
+            pins = {v: st for v, st in pins.items() if v not in (Vertex(1, 2, 1), Vertex(0, 1, 1))}
+        assert tpl.constraints() == pins
+
+
+# ---------------------------------------------------------------------------
+# window checks: every refusal, and infeasible windows
+
+
+def _with_rows(name, extra):
+    rows = dict(TEMPLATES[name].rows)
+    rows.update(extra)
+    return Template(name + "+", tuple(rows.items()))
+
+
+def _all_out(center):
+    return {v: OUT for v in (center,) + neighbors(center)}
+
+
+@pytest.mark.parametrize("lemma_id,template,message", [
+    ("L1", "fig3b", "exactly one sealed lone code vertex"),
+    ("L2", "fig3a", "exactly one 3-cluster"),
+    ("L2", "fig5", "exactly one 3-cluster"),
+    ("L3", "fig5", "exactly one 3-cluster"),
+    ("L4", "fig4", "exactly two 3-clusters"),
+])
+def test_wrong_anchor_count_is_refused(lemma_id, template, message):
+    with pytest.raises(ValueError, match=message):
+        check_lemma(lemma_id, template=template)
+
+
+def test_lone_vertex_needs_its_neighbors_pinned_out():
+    # the only pinned-IN vertex, with one neighbor left unknown
+    near, far = neighbors(V0)[:2], neighbors(V0)[2]
+    base = {V0: IN, **{u: OUT for u in near}}
+    region = ball(V0, 3)
+    for pinned in (base, {**base, far: UNKNOWN}):
+        tpl = Template("open", tuple((v, pinned.get(v, UNKNOWN)) for v in region))
+        with pytest.raises(ValueError, match="exactly one sealed lone code vertex"):
+            check_lemma("L1", template=tpl)
+
+
+def test_lone_vertex_needs_to_be_alone():
+    # a second lone vertex with its neighbors pinned OUT
+    other = Vertex(-5, 5, 1)
+    tpl = _with_rows("fig3a", {other: IN, **{u: OUT for u in neighbors(other)}})
+    with pytest.raises(ValueError, match="exactly one sealed lone code vertex"):
+        check_lemma("L1", template=tpl)
+
+
+def test_unpaired_clusters_are_refused():
+    # fig4's open 3-cluster and a translate too far away to pair with it
+    far = {Vertex(v.a + 9, v.b, v.s): st for v, st in TEMPLATES["fig4"].constraints().items()}
+    with pytest.raises(ValueError, match="not paired"):
+        check_lemma("L4", template=_with_rows("fig4", far))
+
+
+def test_interior_vertex_pinned_unknown_is_refused():
+    with pytest.raises(ValueError, match="interior vertex"):
+        list(ll.enumerate(ball(V0, 1), {V0: UNKNOWN}))
+
+
+def test_bad_constraint_status_is_refused():
+    with pytest.raises(ValueError, match="bad constraint status"):
+        list(ll.enumerate(ball(V0, 1), {V0: "MAYBE"}))
+
+
+_INFEASIBLE = "the pinned window admits no feasible assignment at all"
+
+
+def test_infeasible_lone_vertex_window_verifies():
+    # the pins conflict at an all-OUT closed neighborhood before the lone
+    # vertex's neighbors are assigned; the anchor is still read off the pins
+    lone = Vertex(5, 5, 1)
+    pins = {lone: IN, **{u: OUT for u in neighbors(lone)}, **_all_out(Vertex(3, 5, 0))}
+    region = ball(lone, 3)
+    rows = [(v, pins.get(v, UNKNOWN)) for v in region]
+    rows += [(v, st) for v, st in sorted(pins.items()) if v not in region]
+    v = check_lemma("L1", template=Template("conflict", tuple(rows)))
+    assert (v.result, v.configs_explored, v.note) == (VERIFIED, 0, _INFEASIBLE)
+
+
+def test_infeasible_window_ignores_enumeration_cap():
+    # the conflict stops the base assignment before the thirty far OUT pins
+    # are assigned; they must not count as free vertices
+    extra = {Vertex(a, 0, 0): OUT for a in range(10, 40)}
+    tpl = _with_rows("fig3b", {**_all_out(Vertex(-5, 0, 0)), **extra})
+    for lemma_id in ("L2", "L3"):
+        v = check_lemma(lemma_id, template=tpl)
+        assert (v.result, v.note) == (VERIFIED, _INFEASIBLE)
+    assert list(ll.enumerate(tpl.region(), tpl.constraints())) == []
+
+
+def test_universe_cap_comes_before_any_mask():
+    big = {Vertex(a, 40, 0): OUT for a in range(ll.UNIVERSE_CAP)}
+    with pytest.raises(RegionTooLarge, match="universe cap of %d" % ll.UNIVERSE_CAP):
+        ll._Engine(ball(V0, 1), big)
+
+
+def test_radius_window_cap_comes_before_the_ball(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ball window was built before checking the cap")
+
+    # radius 36 holds 1999 ball vertices, radius 37 holds 2110
+    assert len(ll._radius_window("L1", 36).rows) >= 1999
+    monkeypatch.setattr(ll, "layers", never)
+    with pytest.raises(RegionTooLarge, match="universe cap of %d" % ll.UNIVERSE_CAP):
+        ll._radius_window("L1", 37)
 
 
 def _reference_distances(eng):
@@ -309,10 +452,10 @@ def _ref_mask(idx):
     return m
 
 
-def _ref_components(eng):
+def _ref_components(eng, mem=None):
     comps = []
     seen = 0
-    mem = eng.mem
+    mem = eng.mem if mem is None else mem
     for i in hexgrid.set_bits(mem):
         if (seen >> i) & 1:
             continue
@@ -546,11 +689,13 @@ def test_component_records_match_tuple_rules(monkeypatch, lemma_id, template, no
     # through the module name
     pinned = []
     make_state = ll._make_state
+    pins = TEMPLATES[template or ll._DEFAULT_TEMPLATE[lemma_id]].constraints()
 
-    def recording_make_state(lid, eng, anchors, constraints):
-        state = make_state(lid, eng, anchors, constraints)
+    def recording_make_state(lid, eng):
+        state = make_state(lid, eng)
         pinned[:] = [a.members for a in state.anchors]
-        assert all(a in [tuple(eng.index[v] for v in b) for b in anchors] for a in pinned)
+        pinned_in = _ref_mask(eng.index[v] for v, st in pins.items() if st == IN)
+        assert all(a in _ref_components(eng, pinned_in) for a in pinned)
         return state
 
     prune = ll._LemmaState.prune
@@ -605,8 +750,7 @@ def _dense_window():
 def test_refuted_fires_on_sealed_starved_leaf():
     tpl = _dense_window()
     eng = ll._Engine(tpl.region(), tpl.constraints())
-    anchors = ll._anchor_components(tpl.constraints())
-    state = ll._make_state("L3", eng, anchors, tpl.constraints())
+    state = ll._make_state("L3", eng)
     seen = []
 
     def on_leaf(e):
@@ -622,8 +766,7 @@ def test_refuted_fires_on_sealed_starved_leaf():
 def test_refuted_rejects_leaf_with_helper_cluster():
     tpl = TEMPLATES["fig4"]
     eng = ll._Engine(tpl.region(), tpl.constraints())
-    anchors = ll._anchor_components(tpl.constraints())
-    state = ll._make_state("L3", eng, anchors, tpl.constraints())
+    state = ll._make_state("L3", eng)
     hits = []
 
     def on_leaf(e):
@@ -661,7 +804,8 @@ def test_counterexample_verdict_plumbing(monkeypatch):
     # force the per-window evaluation to call every assignment refuting;
     # the checker must abort, rerun in lexicographic order, and surface the
     # least refuting window as an advisory counterexample
-    monkeypatch.setattr(ll, "_make_state", lambda lid, eng, a, c: _AlwaysRefuted(eng, a))
+    monkeypatch.setattr(ll, "_make_state",
+                        lambda lid, eng: _AlwaysRefuted(eng, eng.split(eng.pinned_in)))
     v = check_lemma("L1", template="fig3a")
     assert v.result == COUNTEREXAMPLE
     assert v.counterexample is not None
@@ -698,15 +842,13 @@ def test_shell_bound_single_vertex():
 
 
 def test_shell_bound_pinned_closed_cluster():
-    comps = ll._anchor_components(TEMPLATES["fig3b"].constraints())
-    triple = next(c for c in comps if len(c) == 3)
+    triple = next(c for c in pinned_clusters(TEMPLATES["fig3b"]) if len(c) == 3)
     size, parts = shell_partition_bound(None, _cluster(triple))
     assert (size, parts) == (20, 11)
 
 
 def test_shell_forced_singletons_for_pinned_cluster():
-    comps = ll._anchor_components(TEMPLATES["fig3b"].constraints())
-    shape = frozenset(next(c for c in comps if len(c) == 3))
+    shape = frozenset(next(c for c in pinned_clusters(TEMPLATES["fig3b"]) if len(c) == 3))
     forced = ll._forced_singletons(shape, shell(shape))
     assert forced == {Vertex(-1, 3, 0), Vertex(2, 3, 0)}
 
