@@ -66,32 +66,23 @@ def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
             mask |= 1 << lattice.index(w)
         out.append(Constraint(mask, EMPTY_IDENTIFIER, u, None))
 
-    seen_pairs = set()
-    for u in lattice.domain():
+    for i, u in enumerate(lattice.domain()):
         nu = set(closed_neighborhood(u))
         for v in sorted(ball(u, 2) - {u}):
-            key = _pair_key(lattice, u, v)
-            if key in seen_pairs:
+            # each pair once up to translation: at the end of lesser orbit
+            # index, and within one orbit at the lesser of v and its mirror
+            # through u (the same pair, translated by u - v)
+            j = lattice.index(v)
+            if j < i or (j == i and v > Vertex(2 * u.a - v.a, 2 * u.b - v.b, v.s)):
                 continue
-            seen_pairs.add(key)
             diff = nu ^ set(closed_neighborhood(v))
             # girth 6 leaves no twin vertices, so the difference is nonempty
             assert diff, "closed neighborhoods of distinct vertices differ"
             mask = 0
             for w in diff:
                 mask |= 1 << lattice.index(w)
-            cu, cv = key
-            out.append(Constraint(mask, INDISTINGUISHABLE_PAIR, cu, cv))
+            out.append(Constraint(mask, INDISTINGUISHABLE_PAIR, u, v))
     return tuple(out)
-
-
-def _pair_key(lattice: PeriodLattice, u: Vertex, v: Vertex):
-    """Canonical form of the unordered pair {u, v} under translation."""
-    cu = lattice.canonical(u)
-    v1 = Vertex(v.a + cu.a - u.a, v.b + cu.b - u.b, v.s)
-    cv = lattice.canonical(v)
-    u2 = Vertex(u.a + cv.a - v.a, u.b + cv.b - v.b, u.s)
-    return min((cu, v1), (cv, u2))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ INCONCLUSIVE means neither: some window left the conclusion open.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
-from .hexgrid import Vertex, ball, layers, neighbors, set_bits
+from .hexgrid import Vertex, layers, neighbors, set_bits
 
 IN = "IN"
 OUT = "OUT"
@@ -42,6 +43,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 # at most this many undecided window vertices may be enumerated (2^48 guard)
 ENUMERATION_CAP = 48
+
+# the largest cluster shape the L5partition sweep builds; the number of
+# shapes grows about 2.8 times per size (7971 at size 10)
+SHAPE_CAP = 10
 
 # at most this many vertices in the engine's universe (the window, its pins
 # and GROWTH_MARGIN rings); the distance masks grow as its square
@@ -494,18 +499,6 @@ class _Engine:
 
     # -- state -------------------------------------------------------------
 
-    def decided(self, i: int) -> bool:
-        return bool((self.dec >> i) & 1)
-
-    def is_in(self, i: int) -> bool:
-        return bool((self.mem >> i) & 1)
-
-    def status_of(self, v: Vertex) -> str:
-        i = self.index.get(v)
-        if i is None or not self.decided(i):
-            return UNKNOWN
-        return IN if self.is_in(i) else OUT
-
     def mark(self) -> int:
         return len(self.trail)
 
@@ -753,38 +746,29 @@ def _cert_crowded(eng: _Engine, c: _Comp) -> bool:
     return False
 
 
-def _singleton_geom_unqual(eng: _Engine, x: int, center_balls, cluster_balls) -> bool:
+def _singleton_geom_unqual(eng: _Engine, x: int, center_reach: int, balls: Sequence[int]) -> bool:
     """No completion can make the singleton's cluster count: out of reach as
     a 1-cluster (its vertex misses every pinned center's ball), and no way
     to sit in a 3-cluster whose position would count (as a leaf it would
     need a path x - m - y with the far leaf y inside a pinned cluster's
-    ball; as a center it would need two usable neighbors inside one)."""
-    vx = eng.verts[x]
-    if any(vx in cb for cb in center_balls):
+    ball; as a center it would need two usable neighbors inside one).
+    center_reach is the union of the centers' balls, and balls holds the
+    pinned clusters' balls, all as universe masks."""
+    if center_reach >> x & 1:
         return False
-    for ball in cluster_balls:
-        if vx in ball:
-            for m in neighbors(vx):
-                if eng.status_of(m) == OUT:
-                    continue
-                for y in neighbors(m):
-                    if y == vx or eng.status_of(y) == OUT:
-                        continue
-                    if y in ball:
-                        return False
-    for ball in cluster_balls:
-        good = 0
-        for m in neighbors(vx):
-            if eng.status_of(m) == OUT:
-                continue
-            if m in ball:
-                good += 1
-        if good >= 2:
-            return False
-    return True
+    out = eng.dec & ~eng.mem
+    for ball in balls:
+        if ball >> x & 1:
+            for y in set_bits(eng.ring2[x] & ball & ~out):
+                # girth six: x and y share exactly one neighbor m; one
+                # beyond the universe is undecided
+                if not eng.nbmask[x] & eng.nbmask[y] & out:
+                    return False
+    usable = eng.nbmask[x] & ~(1 << x) & ~out
+    return not any((usable & ball).bit_count() >= 2 for ball in balls)
 
 
-def _comp_geom_unqual(eng: _Engine, c: _Comp, cluster_balls) -> bool:
+def _comp_geom_unqual(eng: _Engine, c: _Comp, balls: Sequence[int]) -> bool:
     """A size-2 or size-3 component that can never count as a nearby
     threatened 3-cluster, by position alone.  A 3-cluster's leaves are the
     ends of its path; staying at three keeps them fixed, and growing gives
@@ -793,21 +777,13 @@ def _comp_geom_unqual(eng: _Engine, c: _Comp, cluster_balls) -> bool:
     known; if none lands both leaves in a single pinned cluster's ball, no
     completion counts."""
     if len(c.members) == 3:
-        ends = [eng.verts[i] for i in c.members if i != c.center]
-        for ball in cluster_balls:
-            if ends[0] in ball and ends[1] in ball:
-                return False
-        return True
+        ends = c.mask & ~(1 << c.center)
+        return all(ends & ~ball for ball in balls)
     if len(c.members) == 2:
-        for m, other in (c.members, c.members[::-1]):
-            far = eng.verts[other]
-            for w in neighbors(eng.verts[m]):
-                j = eng.index.get(w)
-                if j is not None and (j == other or eng.decided(j)):
-                    continue
-                for ball in cluster_balls:
-                    if w in ball and far in ball:
-                        return False
+        for m, far in (c.members, c.members[::-1]):
+            for ball in balls:
+                if ball >> far & 1 and eng.nbmask[m] & ~eng.dec & ball:
+                    return False
         return True
     return False
 
@@ -842,7 +818,9 @@ def _cert_unthreat(eng: _Engine, c: _Comp, comps: Sequence[_Comp]) -> bool:
 class _LemmaState:
     """Base for per-lemma evaluation over engine states.  anchors are the
     records of the pinned clusters, as _make_state picked and checked them;
-    around[k] holds the grid distance layers 0..3 of anchor k."""
+    the universe holds each one's whole distance-3 ball, its reach3, and
+    each lemma cuts zone_mask, where candidate clusters are counted, from
+    those balls."""
 
     lemma_id = ""
 
@@ -850,7 +828,6 @@ class _LemmaState:
         self.eng = eng
         self.anchors = tuple(anchors)
         self.anchor_mask = _mask(i for a in self.anchors for i in a.members)
-        self.around = [layers([eng.verts[i] for i in a.members], 3) for a in self.anchors]
 
     # hypothesis certainly false on the current (partial) assignment
     def hyp_false(self) -> bool:
@@ -882,18 +859,10 @@ class _LemmaState:
         """Internal-node settlement: the whole subtree is fine."""
         return self.hyp_false() or self.concl_certain()
 
-    def _set_zone(self, verts) -> None:
-        """The zone where candidate clusters are counted: the mask of its
-        universe vertices, and how many of its vertices lie beyond the
-        universe."""
-        eng = self.eng
-        self.zone_mask = _mask(eng.index[v] for v in verts if v in eng.index)
-        self.zone_outside = len(verts) - self.zone_mask.bit_count()
-
     def _floor(self) -> int:
         """Zone vertices that can still hold a candidate cluster of their
-        own: the undecided ones and those beyond the universe."""
-        return self.zone_outside + (self.zone_mask & ~self.eng.dec).bit_count()
+        own: the undecided ones."""
+        return (self.zone_mask & ~self.eng.dec).bit_count()
 
     def _support(self, comps) -> int:
         """An upper bound on the candidate clusters the zone can still hold:
@@ -954,8 +923,8 @@ class _L1State(_LemmaState):
 
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
-        self._set_zone(set().union(*self.around[0]))
-        self.near_mask = eng.within[3][self.anchors[0].members[0]] & ~self.anchor_mask
+        self.zone_mask = self.anchors[0].reach3
+        self.near_mask = self.zone_mask & ~self.anchor_mask
 
     def hyp_false(self) -> bool:
         return _cert_crowded(self.eng, self.anchors[0])
@@ -998,7 +967,7 @@ class _L1State(_LemmaState):
 
     def refuted(self) -> bool:
         eng = self.eng
-        if self.zone_outside or self.zone_mask & ~eng.dec:
+        if self.zone_mask & ~eng.dec:
             return False
         for c in self._nearby():
             if not _sealed(eng, c) or len(c.members) >= 4:
@@ -1017,7 +986,7 @@ class _L2State(_LemmaState):
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
         self.anchor = self.anchors[0]
-        self._set_zone(set().union(*self.around[0][2:]))
+        self.zone_mask = self.anchor.reach3 & ~(self.anchor.mask | self.anchor.rim)
 
     def hyp_false(self) -> bool:
         return _open(self.eng, self.anchor)
@@ -1035,7 +1004,7 @@ class _L2State(_LemmaState):
 
     def refuted(self) -> bool:
         eng = self.eng
-        if self.zone_outside or self.zone_mask & ~eng.dec:
+        if self.zone_mask & ~eng.dec:
             return False
         exact = 0
         for c in eng.components():
@@ -1083,22 +1052,24 @@ class _L2State(_LemmaState):
 
 class _ThreatState(_LemmaState):
     """Base for the lemmas that count threatened 1-clusters and threatened
-    3-clusters nearby pinned clusters (L3 and L4).  center_balls are the
-    distance-three balls of the pinned centers, cluster_balls those of the
-    pinned clusters."""
+    3-clusters nearby pinned clusters (L3 and L4).  center_reach is the
+    union of the pinned centers' distance-three balls, and balls are the
+    pinned clusters' distance-three balls."""
 
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
-        self.center_balls = [ball(eng.verts[a.center], 3) for a in self.anchors]
-        self.cluster_balls = [set().union(*around) for around in self.around]
+        self.center_reach = 0
+        for a in self.anchors:
+            self.center_reach |= eng.within[3][a.center]
+        self.balls = [a.reach3 for a in self.anchors]
 
     def _unqual(self, c, comps) -> bool:
         eng = self.eng
         if _cert_big(eng, c) or _cert_crowded(eng, c) or _cert_unthreat(eng, c, comps):
             return True
         if len(c.members) == 1:
-            return _singleton_geom_unqual(eng, c.members[0], self.center_balls, self.cluster_balls)
-        return _comp_geom_unqual(eng, c, self.cluster_balls)
+            return _singleton_geom_unqual(eng, c.members[0], self.center_reach, self.balls)
+        return _comp_geom_unqual(eng, c, self.balls)
 
 
 class _L3State(_ThreatState):
@@ -1112,17 +1083,16 @@ class _L3State(_ThreatState):
         super().__init__(eng, anchors)
         self.anchor = self.anchors[0]
         leaves = [i for i in self.anchor.members if i != self.anchor.center]
-        self._set_zone(set().union(*self.around[0][1:]))
-        self.leaf_balls = tuple(ball(eng.verts[l], 3) for l in leaves)
+        self.zone_mask = self.anchor.reach3 & ~self.anchor.mask
         self.near_masks = [eng.within[3][l] & ~self.anchor_mask for l in leaves]
 
     def hyp_false(self) -> bool:
         eng = self.eng
         if _cert_crowded(eng, self.anchor):
             return True
+        # a sealed anchor is its own component's record
         comps = eng.components()
-        home = next(c for c in comps if c.mask & self.anchor_mask)
-        if _cert_unthreat(eng, home, comps):
+        if _cert_unthreat(eng, self.anchor, comps):
             return True
         return self._floor() < 4 and self._support(comps) < 4
 
@@ -1141,12 +1111,9 @@ class _L3State(_ThreatState):
         # every component touching either ball has to be sealed; a sealed
         # non-singleton reaching both leaves would actually qualify
         eng = self.eng
-        for leaf_ball in self.leaf_balls:
-            for v in leaf_ball:
-                i = eng.index.get(v)
-                if i is None or not eng.decided(i):
-                    return False
         near1, near2 = self.near_masks
+        if (near1 | near2) & ~eng.dec:
+            return False
         for c in eng.components():
             if c.mask & self.anchor_mask or not c.mask & (near1 | near2):
                 continue
@@ -1169,7 +1136,7 @@ class _L4State(_ThreatState):
         for a, other in zip(self.anchors, reversed(self.anchors)):
             if any(not eng.within[3][l] & other.mask for l in a.members if l != a.center):
                 raise ValueError("pinned clusters are not paired")
-        self._set_zone(set().union(*self.cluster_balls).difference(*(a[0] for a in self.around)))
+        self.zone_mask = (self.balls[0] | self.balls[1]) & ~self.anchor_mask
 
     def hyp_false(self) -> bool:
         return any(_cert_crowded(self.eng, a) for a in self.anchors)
@@ -1272,13 +1239,17 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
 
     With a template (default: the built-in window for the lemma) the pinned
     window is enumerated; with a radius, a ball window around the pins of
-    the default window is used instead.  L5partition ignores templates and
-    sweeps cluster shapes up to the given size (default 8).
+    the default window is used instead.  Either must seal the lemma's
+    clusters (see _make_state).  L5partition ignores templates and sweeps
+    cluster shapes up to the given size (default 8, at most SHAPE_CAP).
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError("unknown lemma %r" % (lemma_id,))
     if lemma_id == "L5partition":
-        return _check_partition(8 if radius is None else radius)
+        size = 8 if radius is None else radius
+        if not 1 <= size <= SHAPE_CAP:
+            raise ValueError("L5partition sweeps shape sizes 1 to %d, not %d" % (SHAPE_CAP, size))
+        return _check_partition(size)
 
     tpl = _resolve_template(lemma_id, radius, template)
     eng = _Engine(tpl.region(), tpl.constraints())
@@ -1334,27 +1305,31 @@ def _settle(state: _LemmaState) -> str:
     """The verdict on one feasible total assignment: VERIFIED when every
     completion satisfies the lemma, COUNTEREXAMPLE when decided vertices
     refute it, INCONCLUSIVE otherwise."""
-    if state.hyp_false() or state.concl_certain() or _certify(state):
+    if _certify(state):
         return VERIFIED
     return COUNTEREXAMPLE if state.refuted() else INCONCLUSIVE
 
 
+_ANCHORS_WANTED = {
+    "L1": "one sealed lone code vertex",
+    "L2": "one 3-cluster with its neighbors pinned OUT",
+    "L3": "one 3-cluster with its neighbors pinned OUT",
+    "L4": "two 3-clusters with their neighbors pinned OUT",
+}
+
+
 def _make_state(lemma_id: str, eng: _Engine) -> _LemmaState:
     """The lemma's state on the engine.  Its anchors are the pinned-IN
-    clusters the lemma is about: for L1 the lone vertex whose three
-    neighbors are pinned OUT, for L2 and L3 one 3-cluster, for L4 two."""
-    pinned = eng.split(eng.pinned_in)
-    if lemma_id == "L1":
-        # a 1-member component is sealed when its rim is three pinned-OUT
-        # neighbors
-        anchors = [a for a in pinned
-                   if len(a.members) == 1 and (a.rim & eng.pinned_out).bit_count() == 3]
-        want = "one sealed lone code vertex"
-    else:
-        anchors = [a for a in pinned if len(a.members) == 3]
-        want = "two 3-clusters" if lemma_id == "L4" else "one 3-cluster"
+    clusters the lemma is about, each a component of pinned-IN vertices
+    whose neighbors are all pinned OUT: for L1 a lone vertex, for L2 and L3
+    one 3-cluster, for L4 two.  The pinned neighbors are seeds of the
+    universe, which reaches GROWTH_MARGIN past them, so every zone and ball
+    the lemma reads lies inside it."""
+    size = 1 if lemma_id == "L1" else 3
+    anchors = [a for a in eng.split(eng.pinned_in)
+               if len(a.members) == size and not a.rim & ~eng.pinned_out]
     if len(anchors) != (2 if lemma_id == "L4" else 1):
-        raise ValueError("window must pin exactly " + want)
+        raise ValueError("window must pin exactly " + _ANCHORS_WANTED[lemma_id])
     return _STATE_BY_LEMMA[lemma_id](eng, anchors)
 
 
@@ -1411,31 +1386,19 @@ def _connected_shapes(max_size: int) -> List[frozenset]:
 
 def _forced_singletons(verts: frozenset, shell: frozenset) -> frozenset:
     """Shell vertices with two internally disjoint length-3 paths to a
-    single cluster vertex: their part of the cover must be a singleton."""
+    single cluster vertex: their part of the cover must be a singleton.
+
+    Only paths whose inner vertices avoid the cluster count.  Two distinct
+    length-3 paths from v to one end never share an inner vertex, since
+    that would close a cycle shorter than the grid's girth of six, so v is
+    forced exactly when some cluster vertex ends two such paths."""
     forced = set()
     for v in shell:
-        paths_by_target: Dict[Vertex, List[Tuple[Vertex, Vertex]]] = {}
-        for a in neighbors(v):
-            if a in verts:
-                continue
-            for b in neighbors(a):
-                if b == v or b in verts:
-                    continue
-                for u in neighbors(b):
-                    if u in verts:
-                        paths_by_target.setdefault(u, []).append((a, b))
-        for u, paths in paths_by_target.items():
-            done = False
-            for x in range(len(paths)):
-                for y in range(x + 1, len(paths)):
-                    if not (set(paths[x]) & set(paths[y])):
-                        forced.add(v)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+        ends = Counter(u for a in neighbors(v) if a not in verts
+                       for b in neighbors(a) if b != v and b not in verts
+                       for u in neighbors(b) if u in verts)
+        if any(k >= 2 for k in ends.values()):
+            forced.add(v)
     return frozenset(forced)
 
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import hexident
-from hexident import optimize
+from hexident import lemma_lab, optimize
 from hexident.cli import main
 from hexident.hexgrid import PeriodLattice
-from hexident.lemma_lab import TEMPLATES, UNIVERSE_CAP, save_template
+from hexident.lemma_lab import TEMPLATES, UNIVERSE_CAP, save_template, template_text
 from hexident.optimize import SearchSpec, minimum_code, plant_isolated_pair
 
 
@@ -203,6 +203,37 @@ def test_check_lemma_bad_sublattice_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-lemma", "--id", "L1", "--template", str(path))
     assert (code, out) == (2, "")
     assert "sublattice must be 0 or 1" in err
+
+
+def _unsealed_windows():
+    # a 3-path whose leaf (0,2,1) keeps its neighbor (0,3,0) undecided
+    yield "L3", "0 2 1 IN\n1 2 0 IN\n1 2 1 IN\n0 3 0 UNKNOWN\n"
+    # the built-in windows with one cluster neighbor turned UNKNOWN
+    for lemma_id, name, row in (("L2", "fig3b", "0 2 0 OUT"), ("L3", "fig4", "1 3 0 OUT"),
+                                ("L4", "fig5", "3 1 0 OUT")):
+        lines = template_text(TEMPLATES[name]).splitlines()
+        lines[lines.index(row)] = row.replace("OUT", "UNKNOWN")
+        yield lemma_id, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lemma_id,text", list(_unsealed_windows()))
+def test_check_lemma_unsealed_cluster_is_usage_error(capsys, tmp_path, lemma_id, text):
+    path = tmp_path / "window.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "check-lemma", "--id", lemma_id, "--template", str(path))
+    assert (code, out) == (2, "")
+    assert "pinned OUT" in err
+
+
+def test_check_lemma_partition_size_cap_fails_before_any_shape(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("cluster shapes were built before checking the size")
+
+    monkeypatch.setattr(lemma_lab, "_connected_shapes", never)
+    for radius in ("20", "0", "-1", str(lemma_lab.SHAPE_CAP + 1)):
+        code, out, err = run(capsys, "check-lemma", "--id", "L5partition", "--radius", radius)
+        assert (code, out) == (2, "")
+        assert "shape sizes 1 to %d" % lemma_lab.SHAPE_CAP in err
 
 
 def test_check_lemma_universe_cap_fails_before_enumeration_cap(capsys, tmp_path):

@@ -6,13 +6,14 @@ import pytest
 from hexident.code import (
     EMPTY_IDENTIFIER,
     INDISTINGUISHABLE_PAIR,
+    Constraint,
     PeriodicCode,
     full_code,
     identifying_constraints,
     thin_code,
     tile,
 )
-from hexident.hexgrid import PeriodLattice, Vertex, ball
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, closed_neighborhood
 
 
 def brute_force_ok(code):
@@ -146,6 +147,44 @@ def test_constraint_masks_are_nonempty_and_within_domain():
         assert all(c.mask and c.mask & full_mask == c.mask for c in cons)
         empties = [c for c in cons if c.kind == EMPTY_IDENTIFIER]
         assert len(empties) == lat.domain_size
+
+
+def _ref_pair_key(lattice, u, v):
+    """Canonical form of the unordered pair {u, v} under translation."""
+    cu = lattice.canonical(u)
+    v1 = Vertex(v.a + cu.a - u.a, v.b + cu.b - u.b, v.s)
+    cv = lattice.canonical(v)
+    u2 = Vertex(u.a + cv.a - v.a, u.b + cv.b - v.b, u.s)
+    return min((cu, v1), (cv, u2))
+
+
+def _ref_pair_constraints(lattice):
+    """The pair clauses as the compile once built them: every pair at
+    distance <= 2 around a domain vertex, deduplicated by a set of
+    translation-canonical pair keys."""
+    out = []
+    seen_pairs = set()
+    for u in lattice.domain():
+        nu = set(closed_neighborhood(u))
+        for v in sorted(ball(u, 2) - {u}):
+            key = _ref_pair_key(lattice, u, v)
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            mask = 0
+            for w in nu ^ set(closed_neighborhood(v)):
+                mask |= 1 << lattice.index(w)
+            out.append(Constraint(mask, INDISTINGUISHABLE_PAIR, *key))
+    return out
+
+
+def test_pair_dedup_by_orbit_index_matches_pair_keys():
+    # same clauses in the same order, on every lattice with 2pq <= 48
+    lattices = list(all_lattices(48))
+    assert len(lattices) == 491
+    for lat in lattices:
+        pairs = [c for c in identifying_constraints(lat) if c.kind == INDISTINGUISHABLE_PAIR]
+        assert pairs == _ref_pair_constraints(lat), lat
 
 
 def test_thin_code_removes_orbits():

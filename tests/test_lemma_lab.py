@@ -7,6 +7,7 @@ The shell bounds were cross-checked against an exact cover search.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -328,6 +329,30 @@ def test_lone_vertex_needs_its_neighbors_pinned_out():
             check_lemma("L1", template=tpl)
 
 
+def _rim_rows(name):
+    """The template's rows that neighbor a pinned 3-cluster."""
+    clusters = [c for c in pinned_clusters(TEMPLATES[name]) if len(c) == 3]
+    rim = {w for c in clusters for v in c for w in neighbors(v)} - {v for c in clusters for v in c}
+    return [v for v, _ in TEMPLATES[name].rows if v in rim]
+
+
+@pytest.mark.parametrize("lemma_id,name,message", [
+    ("L2", "fig3b", "exactly one 3-cluster with its neighbors pinned OUT"),
+    ("L3", "fig4", "exactly one 3-cluster with its neighbors pinned OUT"),
+    ("L4", "fig5", "exactly two 3-clusters with their neighbors pinned OUT"),
+])
+def test_cluster_needs_its_neighbors_pinned_out(lemma_id, name, message):
+    # a 3-cluster with a neighbor left to the enumeration could grow in a
+    # completion while the rules still read it as a 3-path
+    rows = _rim_rows(name)
+    assert len(rows) == (10 if lemma_id == "L4" else 5)
+    for v in rows:
+        tpl = _with_rows(name, {v: UNKNOWN})
+        eng = ll._Engine(tpl.region(), tpl.constraints())
+        with pytest.raises(ValueError, match=message):
+            ll._make_state(lemma_id, eng)
+
+
 def test_lone_vertex_needs_to_be_alone():
     # a second lone vertex with its neighbors pinned OUT
     other = Vertex(-5, 5, 1)
@@ -452,6 +477,15 @@ def _ref_mask(idx):
     return m
 
 
+# the engine's decided and IN bits of one vertex, as the references read them
+def _decided(eng, i):
+    return bool(eng.dec >> i & 1)
+
+
+def _is_in(eng, i):
+    return bool(eng.mem >> i & 1)
+
+
 def _ref_components(eng, mem=None):
     comps = []
     seen = 0
@@ -481,7 +515,7 @@ def _ref_comp_frontier(eng, comp):
         if not eng.nb_full[i]:
             outside = True
         for j in eng.nb_in[i]:
-            if j not in comp_set and not eng.decided(j):
+            if j not in comp_set and not _decided(eng, j):
                 und.add(j)
     return sorted(und), outside
 
@@ -522,7 +556,7 @@ def _ref_cert_big(eng, comp):
             return False
         c = _ref_path_center(eng, comp)
         for x in eng.nb_in[w]:
-            if x != c and eng.decided(x) and eng.is_in(x):
+            if x != c and _decided(eng, x) and _is_in(eng, x):
                 return True
     return False
 
@@ -540,7 +574,7 @@ def _ref_cert_exact_open3(eng, comp):
     for x in eng.nb_in[w]:
         if x == c:
             continue
-        if not eng.decided(x) or eng.is_in(x):
+        if not _decided(eng, x) or _is_in(eng, x):
             return False
     return True
 
@@ -549,10 +583,10 @@ def _ref_cert_crowded(eng, comp):
     if len(comp) == 1:
         x = comp[0]
         for u in eng.nb_in[x]:
-            if not eng.decided(u) or eng.is_in(u) or not eng.nb_full[u]:
+            if not _decided(eng, u) or _is_in(eng, u) or not eng.nb_full[u]:
                 continue
             others = [j for j in eng.nb_in[u] if j != x]
-            if len(others) == 2 and all(eng.decided(j) and eng.is_in(j) for j in others):
+            if len(others) == 2 and all(_decided(eng, j) and _is_in(eng, j) for j in others):
                 return True
         return False
     if len(comp) == 3:
@@ -586,9 +620,9 @@ def _ref_uncrowded_exact(eng, anchor):
                 return None
             if j in anchor_set:
                 continue
-            if not eng.decided(j):
+            if not _decided(eng, j):
                 return None
-            if eng.is_in(j):
+            if _is_in(eng, j):
                 hits += 1
         if hits >= 2:
             return False
@@ -608,7 +642,7 @@ def _ref_qual_exact(eng, comp):
             if not eng.nb_full[u]:
                 return None
             others = [j for j in eng.nb_in[u] if j != x]
-            if not all(eng.decided(j) for j in others):
+            if not all(_decided(eng, j) for j in others):
                 return None
         return not _ref_cert_crowded(eng, comp)
     if not _ref_cert_exact_open3(eng, comp):
@@ -617,7 +651,7 @@ def _ref_qual_exact(eng, comp):
             return None
         c = _ref_path_center(eng, comp)
         for x in eng.nb_in[w]:
-            if x != c and not eng.decided(x):
+            if x != c and not _decided(eng, x):
                 return None
         return False
     comp_set = set(comp)
@@ -626,7 +660,7 @@ def _ref_qual_exact(eng, comp):
             j = eng.index.get(w)
             if j is None:
                 return None
-            if j not in comp_set and not eng.decided(j):
+            if j not in comp_set and not _decided(eng, j):
                 return None
     return not _ref_cert_crowded(eng, comp)
 
@@ -634,7 +668,7 @@ def _ref_qual_exact(eng, comp):
 def _ref_influence_candidates(eng, zone_idx, anchors, comps):
     cands = set()
     for i in zone_idx:
-        if not eng.decided(i):
+        if not _decided(eng, i):
             cands.add(i)
     for comp in comps:
         und, _ = _ref_comp_frontier(eng, comp)
@@ -642,7 +676,7 @@ def _ref_influence_candidates(eng, zone_idx, anchors, comps):
         w = _ref_center_outside_nb(eng, comp)
         if w is not None:
             for x in eng.nb_in[w]:
-                if not eng.decided(x):
+                if not _decided(eng, x):
                     cands.add(x)
     for anchor in anchors:
         for v in anchor:
@@ -719,6 +753,217 @@ def test_component_records_match_tuple_rules(monkeypatch, lemma_id, template, no
     monkeypatch.setattr(ll, "_certify", checked_certify)
     check_lemma(lemma_id, template=template, node_cap=node_cap)
     assert visited[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# the zone, ball and geometry masks against the vertex-set rules they replaced
+#
+# The references below are the lemma states' zones, balls and position rules
+# as they were written over grid vertex sets: distance layers around each
+# pinned cluster, balls from hexgrid, and statuses looked up per vertex (a
+# vertex beyond the universe reads UNKNOWN).  They are kept as the oracle
+# for the masks, changed only to take the engine and the state as
+# arguments.
+
+
+def _ref_status(eng, v):
+    i = eng.index.get(v)
+    if i is None or not _decided(eng, i):
+        return UNKNOWN
+    return IN if _is_in(eng, i) else OUT
+
+
+def _ref_vertex_sets(state):
+    """The zone as a vertex set, and the centers', pinned clusters' and
+    leaves' distance-three balls."""
+    eng = state.eng
+    around = [layers([eng.verts[i] for i in a.members], 3) for a in state.anchors]
+    cluster_balls = [set().union(*layers_k) for layers_k in around]
+    if isinstance(state, ll._L1State):
+        zone = set().union(*around[0])
+    elif isinstance(state, ll._L2State):
+        zone = set().union(*around[0][2:])
+    elif isinstance(state, ll._L3State):
+        zone = set().union(*around[0][1:])
+    else:
+        zone = set().union(*cluster_balls).difference(*(layers_k[0] for layers_k in around))
+    centers = [a.center for a in state.anchors if a.center is not None]
+    center_balls = [hexgrid.ball(eng.verts[c], 3) for c in centers]
+    leaf_balls = [hexgrid.ball(eng.verts[i], 3)
+                  for a in state.anchors for i in a.members if i != a.center]
+    return zone, center_balls, cluster_balls, leaf_balls
+
+
+def _ref_singleton_geom_unqual(eng, x, center_balls, cluster_balls):
+    vx = eng.verts[x]
+    if any(vx in cb for cb in center_balls):
+        return False
+    for ball_k in cluster_balls:
+        if vx in ball_k:
+            for m in neighbors(vx):
+                if _ref_status(eng, m) == OUT:
+                    continue
+                for y in neighbors(m):
+                    if y == vx or _ref_status(eng, y) == OUT:
+                        continue
+                    if y in ball_k:
+                        return False
+    for ball_k in cluster_balls:
+        good = 0
+        for m in neighbors(vx):
+            if _ref_status(eng, m) == OUT:
+                continue
+            if m in ball_k:
+                good += 1
+        if good >= 2:
+            return False
+    return True
+
+
+def _ref_comp_geom_unqual(eng, comp, cluster_balls):
+    if len(comp) == 3:
+        center = _ref_path_center(eng, comp)
+        ends = [eng.verts[i] for i in comp if i != center]
+        for ball_k in cluster_balls:
+            if ends[0] in ball_k and ends[1] in ball_k:
+                return False
+        return True
+    if len(comp) == 2:
+        for m, other in (comp, comp[::-1]):
+            far = eng.verts[other]
+            for w in neighbors(eng.verts[m]):
+                j = eng.index.get(w)
+                if j is not None and (j == other or _decided(eng, j)):
+                    continue
+                for ball_k in cluster_balls:
+                    if w in ball_k and far in ball_k:
+                        return False
+        return True
+    return False
+
+
+def _ref_l3_refuted(eng, anchor_mask, leaf_balls, comps):
+    for leaf_ball in leaf_balls:
+        for v in leaf_ball:
+            i = eng.index.get(v)
+            if i is None or not _decided(eng, i):
+                return False
+    near1, near2 = (_ref_mask(eng.index[v] for v in b if v in eng.index) & ~anchor_mask
+                    for b in leaf_balls)
+    for c in comps:
+        if c.mask & anchor_mask or not c.mask & (near1 | near2):
+            continue
+        if not ll._sealed(eng, c):
+            return False
+        if len(c.members) >= 2 and c.mask & near1 and c.mask & near2:
+            return False
+    return True
+
+
+def _check_masks_against_vertex_sets(state, seen):
+    eng = state.eng
+    comps = eng.components()
+    zone, center_balls, cluster_balls, leaf_balls = _ref_vertex_sets(state)
+    zone_mask = _ref_mask(eng.index[v] for v in zone if v in eng.index)
+    # every zone and ball lies inside the universe
+    assert zone_mask.bit_count() == len(zone)
+    assert all(v in eng.index for b in cluster_balls for v in b)
+    assert state.zone_mask == zone_mask
+    floor = (zone_mask & ~eng.dec).bit_count()
+    assert state._floor() == floor
+    if not isinstance(state, ll._ThreatState):
+        return
+    assert state.balls == [_ref_mask(eng.index[v] for v in b) for b in cluster_balls]
+    support = floor
+    for c in comps:
+        if len(c.members) == 1:
+            got = ll._singleton_geom_unqual(eng, c.members[0], state.center_reach, state.balls)
+            want = _ref_singleton_geom_unqual(eng, c.members[0], center_balls, cluster_balls)
+        else:
+            got = ll._comp_geom_unqual(eng, c, state.balls)
+            want = _ref_comp_geom_unqual(eng, c.members, cluster_balls)
+        assert got == want
+        seen[(len(c.members), want)] = seen.get((len(c.members), want), 0) + 1
+        unqual = (ll._cert_big(eng, c) or ll._cert_crowded(eng, c)
+                  or ll._cert_unthreat(eng, c, comps) or want)
+        if not c.mask & state.anchor_mask and c.mask & zone_mask and not unqual:
+            support += 1
+    assert state._support(comps) == support
+    if isinstance(state, ll._L3State):
+        home = next(c for c in comps if c.mask & state.anchor_mask)
+        assert home is state.anchor
+        assert state.refuted() == _ref_l3_refuted(eng, state.anchor_mask, leaf_balls, comps)
+
+
+# the paired windows and L2 stop at their caps to keep the test near ten
+# seconds; L1 and L2 only read the zone
+@pytest.mark.parametrize("lemma_id,window,node_cap", [
+    ("L1", {}, None),
+    ("L2", {}, 3000),
+    ("L3", {}, None),
+    ("L4", {"template": "fig5"}, 1500),
+    ("L4", {"template": "fig6"}, 1500),
+    ("L3", {"radius": 2}, None),
+    ("L3", {"radius": 3}, None),
+    ("L4", {"radius": 2}, None),
+    ("L4", {"radius": 3}, 1500),
+], ids=["L1", "L2", "L3-fig4", "L4-fig5", "L4-fig6", "L3-r2", "L3-r3", "L4-r2", "L4-r3"])
+def test_lemma_masks_match_vertex_set_rules(monkeypatch, lemma_id, window, node_cap):
+    # every state the window search and the certify search visit
+    prune = ll._LemmaState.prune
+    certify = ll._certify
+    seen = {}
+    visited = [0]
+
+    def checked(state):
+        visited[0] += 1
+        _check_masks_against_vertex_sets(state, seen)
+
+    def checked_prune(state, eng):
+        checked(state)
+        return prune(state, eng)
+
+    def checked_certify(state, *args, **kwargs):
+        checked(state)
+        return certify(state, *args, **kwargs)
+
+    monkeypatch.setattr(ll._LemmaState, "prune", checked_prune)
+    monkeypatch.setattr(ll, "_certify", checked_certify)
+    check_lemma(lemma_id, node_cap=node_cap, **window)
+    assert visited[0] > 0
+    if lemma_id in ("L3", "L4"):
+        # the position rules were asked about singletons, pairs and 3-paths,
+        # and each answered both ways
+        assert all(seen.get((size, want)) for size in (1, 2, 3) for want in (True, False)), seen
+
+
+@pytest.mark.parametrize("lemma_id,window", [
+    ("L3", {"template": "fig4"}),
+    ("L4", {"template": "fig5"}),
+    ("L3", {"radius": 3}),
+    ("L4", {"radius": 3}),
+], ids=["L3-fig4", "L4-fig5", "L3-r3", "L4-r3"])
+def test_lemma_masks_match_vertex_set_rules_on_arbitrary_states(lemma_id, window):
+    # the rules read only the decided and IN masks, so they must agree on
+    # any assignment that keeps the pins, feasible or not; such states
+    # reach positions the search prunes before it gets there
+    tpl = ll._resolve_template(lemma_id, window.get("radius"), window.get("template"))
+    eng = ll._Engine(tpl.region(), tpl.constraints())
+    state = ll._make_state(lemma_id, eng)
+    pins = eng.pinned_in | eng.pinned_out
+    rng = random.Random(lemma_id + str(window))
+    seen = {}
+    for _ in range(150):
+        p_dec = rng.choice((0.3, 0.6, 0.9))
+        dec, mem = pins, eng.pinned_in
+        for i in range(eng.n):
+            if not pins >> i & 1 and rng.random() < p_dec:
+                dec |= 1 << i
+                if rng.random() < 0.3:
+                    mem |= 1 << i
+        eng.dec, eng.mem = dec, mem
+        _check_masks_against_vertex_sets(state, seen)
+    assert all(seen.get((size, want)) for size in (1, 2, 3) for want in (True, False)), seen
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +1141,38 @@ def test_shell_bound_matches_exact_cover(verts):
     size, parts = ll._shell_bound(shape)
     assert size == len(around)
     assert parts == _exact_min_parts(shape, around, forced)
+
+
+def _ref_forced_singletons(verts, shell):
+    """The forced shell vertices as first written: collect every length-3
+    path to each cluster vertex and look for two with no inner vertex in
+    common."""
+    forced = set()
+    for v in shell:
+        paths_by_target = {}
+        for a in neighbors(v):
+            if a in verts:
+                continue
+            for b in neighbors(a):
+                if b == v or b in verts:
+                    continue
+                for u in neighbors(b):
+                    if u in verts:
+                        paths_by_target.setdefault(u, []).append((a, b))
+        for paths in paths_by_target.values():
+            if any(not set(paths[x]) & set(paths[y])
+                   for x in range(len(paths)) for y in range(x + 1, len(paths))):
+                forced.add(v)
+                break
+    return frozenset(forced)
+
+
+def test_forced_singletons_match_disjoint_path_search():
+    shapes = ll._connected_shapes(8)
+    assert len(shapes) == 1080
+    for shape in shapes:
+        around = shell(shape)
+        assert ll._forced_singletons(shape, around) == _ref_forced_singletons(shape, around)
 
 
 def test_partition_sweep_small_sizes():
