@@ -61,7 +61,7 @@ class Transfer:
 @dataclass
 class ChargeLedger:
     code: PeriodicCode
-    classification: Optional[Classification]
+    classification: Classification
     engine: str
     final: dict
     transfers: list
@@ -90,9 +90,7 @@ class ChargeLedger:
             "clusterTotals": [
                 {"cluster": cid, "total": _frac(total)}
                 for cid, total in sorted(self.cluster_totals().items())
-            ]
-            if self.classification is not None
-            else [],
+            ],
             "conserved": self.conserved(),
             "notes": list(self.notes),
         }
@@ -256,7 +254,7 @@ def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
         if total < bound * m:
             failures.append((cl.cid, total))
     outflows, _, _ = _tally(ledger)
-    failures.sort(key=lambda sf: (isinstance(sf[0], int), sf[0] if isinstance(sf[0], int) else tuple(sf[0])))
+    failures.sort(key=lambda sf: (isinstance(sf[0], int), sf[0]))
     return AuditReport(bound, failures, outflows)
 
 

@@ -3,12 +3,12 @@
 The discharging argument leans on a few structural facts about clusters in an
 identifying code.  Each fact is local: it only talks about vertices within
 distance three or so of a small cluster.  This module checks such facts
-mechanically.  A window is a finite set of grid vertices carrying one of
-three statuses: IN (code vertex), OUT (non-code vertex), UNKNOWN (not yet
-decided).  The engine enumerates every total assignment of the window that
-passes the local feasibility rules of identifying codes, and for each one
-asks whether the lemma's conclusion is forced no matter how the pattern
-continues outside the window.
+mechanically.  A window is a finite set of grid vertices, some pinned IN
+(code vertex) or OUT (non-code vertex); the rest are enumerated.  The engine
+enumerates every total assignment of the window that passes the local
+feasibility rules of identifying codes, and for each one asks whether the
+lemma's conclusion is forced no matter how the pattern continues outside the
+window.
 
 Feasibility is an over-approximation.  Every restriction of a genuine
 identifying code passes the checks, but some feasible windows extend to no
@@ -19,8 +19,9 @@ restrict to some feasible window whose conclusion could not be certified.
 Three verdicts are possible.  VERIFIED means every feasible window either
 contradicts the hypothesis outright or forces the conclusion in all
 completions.  COUNTEREXAMPLE means some feasible window refutes the
-conclusion using decided vertices only; it is advisory (the window may not
-extend to a code) and suggests re-running with a larger window.
+conclusion using decided vertices only; the check stops on the first one and
+reports it.  It is advisory (the window may not extend to a code) and
+suggests re-running with a larger window.
 INCONCLUSIVE means neither: some window left the conclusion open.
 """
 
@@ -52,14 +53,17 @@ SHAPE_CAP = 10
 # and GROWTH_MARGIN rings); the distance masks grow as its square
 UNIVERSE_CAP = 2048
 
-# how far past the window the engine reasons about cluster growth; beyond
-# this margin everything is permanently unknown
-GROWTH_MARGIN = 2
-
 # the farthest grid distance any certainty rule reads
 REACH = 3
 
-_STATUS_RANK = {IN: 0, OUT: 1, UNKNOWN: 2}
+# how far past the window and its pins the engine reasons about cluster
+# growth; beyond this margin everything is permanently unknown.  An anchor's
+# neighbors are pinned seeds, so REACH - 1 rings are the least margin that
+# keeps each anchor's distance-REACH ball, its reach3 and every zone cut from
+# it, inside the universe
+GROWTH_MARGIN = REACH - 1
+
+_STATUSES = (IN, OUT, UNKNOWN)
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5partition")
 
@@ -74,11 +78,9 @@ class RegionTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """A total three-valued status assignment on a finite vertex set.
+    """A total IN/OUT status assignment on a finite vertex set.
 
-    region is sorted; status is aligned with it.  UNKNOWN may only appear
-    on vertices whose closed neighborhood leaves the region (the boundary);
-    interior vertices are always decided.
+    region is sorted; status is aligned with it.
     """
 
     region: Tuple[Vertex, ...]
@@ -86,18 +88,6 @@ class WindowConfig:
 
     def as_mapping(self) -> Dict[Vertex, str]:
         return dict(zip(self.region, self.status))
-
-    def interior(self) -> Tuple[Vertex, ...]:
-        """Vertices whose whole closed neighborhood lies inside the region."""
-        have = set(self.region)
-        out = []
-        for v in self.region:
-            if all(w in have for w in neighbors(v)):
-                out.append(v)
-        return tuple(out)
-
-    def sort_key(self) -> Tuple[int, ...]:
-        return tuple(_STATUS_RANK[s] for s in self.status)
 
     def to_json(self) -> dict:
         return {"window": [[v.a, v.b, v.s, st] for v, st in zip(self.region, self.status)]}
@@ -141,7 +131,7 @@ def parse_template(text: str, name: str = "window") -> Template:
         if s not in (0, 1):
             raise ValueError("vertex sublattice must be 0 or 1: %r" % raw)
         st = parts[3].upper()
-        if st not in _STATUS_RANK:
+        if st not in _STATUSES:
             raise ValueError("bad status %r" % parts[3])
         v = Vertex(a, b, s)
         if v in seen:
@@ -380,7 +370,7 @@ class _Comp(NamedTuple):
 
 
 class _Engine:
-    """Bitmask DFS over the three-valued assignments of a window.
+    """Bitmask DFS over the IN/OUT assignments of a window.
 
     The universe extends the window by GROWTH_MARGIN rings so that growth of
     decided clusters just past the window can be reasoned about.  A
@@ -396,21 +386,19 @@ class _Engine:
     complete for windows that are balls of an identifying code.  Both rules
     propagate: a last undecided slot with no IN elsewhere is forced IN.
 
-    The engine is the only reader of a window's pinned statuses: it keeps
-    them as the masks pinned_in and pinned_out, and assigns them first.
+    The engine is the only reader of a window's pins, each IN or OUT: it
+    keeps them as the masks pinned_in and pinned_out, and assigns them
+    first.  Every other window vertex is enumerated.
     """
 
     def __init__(self, region: Iterable[Vertex], constraints: Optional[Mapping[Vertex, str]] = None):
         constraints = dict(constraints or {})
         region = tuple(sorted(set(region)))
-        region_set = set(region)
-        for v, st in constraints.items():
-            if st not in _STATUS_RANK:
+        for st in constraints.values():
+            if st not in (IN, OUT):
                 raise ValueError("bad constraint status %r" % (st,))
-            if st == UNKNOWN and v in region_set and all(w in region_set for w in neighbors(v)):
-                raise ValueError("interior vertex %r may not stay UNKNOWN" % (v,))
 
-        seeds = region_set.union(v for v, st in constraints.items() if st != UNKNOWN)
+        seeds = set(region).union(constraints)
         universe = set().union(*layers(seeds, GROWTH_MARGIN))
         if len(universe) > UNIVERSE_CAP:
             raise RegionTooLarge(
@@ -426,40 +414,11 @@ class _Engine:
 
         # the pins as universe masks: the only copy of a window's pinned
         # statuses that anything past this point reads
-        pinned = {IN: 0, OUT: 0, UNKNOWN: 0}
+        pinned = {IN: 0, OUT: 0}
         for v, st in constraints.items():
-            if v in self.index:
-                pinned[st] |= 1 << self.index[v]
+            pinned[st] |= 1 << self.index[v]
         self.pinned_in: int = pinned[IN]
         self.pinned_out: int = pinned[OUT]
-
-        self.nb_in: List[Tuple[int, ...]] = []
-        self.nb_full: List[bool] = []
-        self.nbmask: List[int] = []
-        for i, v in zip(range(n), self.verts):
-            row = tuple(self.index[w] for w in neighbors(v) if w in self.index)
-            self.nb_in.append(row)
-            self.nb_full.append(len(row) == 3)
-            self.nbmask.append(_mask(row + (i,)))
-
-        # both feasibility rules as positive clauses (some vertex of the
-        # mask is IN), listed under each of their vertices: the closed
-        # neighborhood of a vertex, and the symmetric difference of two
-        # closed neighborhoods at distance <= 2, wherever those lie inside
-        # the universe
-        self.clauses: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            if not self.nb_full[i]:
-                continue
-            cands = set(self.nb_in[i])
-            for m in self.nb_in[i]:
-                cands.update(self.nb_in[m])
-            own = [self.nbmask[i]]
-            own += [self.nbmask[i] ^ self.nbmask[j]
-                    for j in sorted(cands) if j > i and self.nb_full[j]]
-            for clause in own:
-                for t in set_bits(clause):
-                    self.clauses[t].append(clause)
 
         # grid distances as masks: within[r][i] holds the universe vertices
         # at distance <= r from vertex i, and ring2[i] those at exactly two.
@@ -476,6 +435,27 @@ class _Engine:
                         m |= 1 << j
                 masks.append(m)
         self.ring2: List[int] = [m2 & ~m1 for m1, m2 in zip(self.within[1], self.within[2])]
+        # the closed in-universe neighborhoods; a full vertex has all three
+        # neighbors in the universe
+        self.nbmask: List[int] = self.within[1]
+        self.nb_full: List[bool] = [m.bit_count() == 4 for m in self.nbmask]
+
+        # both feasibility rules as positive clauses (some vertex of the
+        # mask is IN), listed under each of their vertices: the closed
+        # neighborhood of a vertex, and the symmetric difference of two
+        # closed neighborhoods at distance <= 2, wherever those lie inside
+        # the universe.  A full vertex's distance-two partners are all in
+        # the universe, so they are the higher bits of within[2].
+        self.clauses: List[List[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            if not self.nb_full[i]:
+                continue
+            own = [self.nbmask[i]]
+            own += [self.nbmask[i] ^ self.nbmask[j]
+                    for j in set_bits(self.within[2][i] >> i + 1 << i + 1) if self.nb_full[j]]
+            for clause in own:
+                for t in set_bits(clause):
+                    self.clauses[t].append(clause)
 
         self._records: Dict[Tuple[int, ...], _Comp] = {}
         self._comps: List[_Comp] = []
@@ -489,8 +469,7 @@ class _Engine:
 
         pins = self.pinned_in | self.pinned_out
         self.base_ok = all(self.assign(i, bool(self.pinned_in >> i & 1)) for i in set_bits(pins))
-        fixed = self.dec | pinned[UNKNOWN]
-        self.free_idx: Tuple[int, ...] = tuple(i for i in self.region_idx if not fixed >> i & 1)
+        self.free_idx: Tuple[int, ...] = tuple(i for i in self.region_idx if not self.dec >> i & 1)
         # an infeasible window enumerates nothing, however large
         if self.base_ok and len(self.free_idx) > ENUMERATION_CAP:
             raise RegionTooLarge(
@@ -552,28 +531,22 @@ class _Engine:
                     best_score = score
         return best
 
-    def _pick_static(self) -> int:
-        for i in self.free_idx:
-            if not (self.dec >> i) & 1:
-                return i
-        return -1
-
-    def search(self, on_leaf, try_prune=None, static_order: bool = False,
-               node_cap: Optional[int] = None) -> None:
+    def search(self, on_leaf, try_prune=None, node_cap: Optional[int] = None) -> None:
         """DFS over feasible total assignments of the window.
 
-        on_leaf(engine) is called at each feasible total assignment;
+        Each node branches on the first undecided window vertex, in region
+        order, with the most decided neighbors, IN before OUT.  on_leaf(engine) is called at each
+        feasible total assignment, where every window vertex is decided;
         try_prune(engine), if given, may return True at an internal node to
-        settle the whole subtree.  Either callback may set engine.aborted.
-        In static order the leaves appear in ascending lexicographic order
-        of the window status tuple (IN before OUT).
+        settle the whole subtree.  Either callback may set engine.aborted,
+        and the search stops past node_cap nodes.
         """
         self.aborted = False
         if not self.base_ok:
             return
-        self._search(on_leaf, try_prune, static_order, node_cap)
+        self._search(on_leaf, try_prune, node_cap)
 
-    def _search(self, on_leaf, try_prune, static_order, node_cap) -> None:
+    def _search(self, on_leaf, try_prune, node_cap) -> None:
         if self.aborted:
             return
         self.nodes += 1
@@ -582,22 +555,23 @@ class _Engine:
             return
         if try_prune is not None and try_prune(self):
             return
-        i = self._pick_static() if static_order else self._pick()
+        i = self._pick()
         if i < 0:
             on_leaf(self)
             return
         for val in (True, False):
             m = self.mark()
             if self.assign(i, val):
-                self._search(on_leaf, try_prune, static_order, node_cap)
+                self._search(on_leaf, try_prune, node_cap)
             self.undo(m)
             if self.aborted:
                 return
 
     def snapshot(self) -> WindowConfig:
-        dec, mem = self.dec, self.mem
-        sts = [(IN if mem >> i & 1 else OUT) if dec >> i & 1 else UNKNOWN for i in self.region_idx]
-        return WindowConfig(self.region, tuple(sts))
+        """The window's assignment at a leaf."""
+        mem = self.mem
+        # a list gives an exact-size tuple; enumerate holds every snapshot
+        return WindowConfig(self.region, tuple([IN if mem >> i & 1 else OUT for i in self.region_idx]))
 
     # -- decided components ------------------------------------------------
 
@@ -662,11 +636,11 @@ class _Engine:
 def enumerate(region, constraints=None):
     """Yield every feasible total status assignment of the region.
 
-    constraints maps vertices to pinned statuses; keys outside the region
-    act as halo literals (they constrain feasibility but are not part of
-    the yielded configurations).  An UNKNOWN constraint pins a boundary
-    vertex to stay undecided.  Deterministic order.  Raises RegionTooLarge
-    past the enumeration cap.
+    constraints maps vertices to pinned statuses, IN or OUT; keys outside
+    the region act as halo literals (they constrain feasibility but are not
+    part of the yielded configurations).  Every other region vertex is
+    enumerated.  Deterministic order.  Raises RegionTooLarge past the
+    enumeration cap, and ValueError on any other pinned status.
     """
     eng = _Engine(region, constraints)
     out: List[WindowConfig] = []
@@ -1257,7 +1231,7 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
 
     settled = [0]
     open_configs = [0]
-    counter_found = [False]
+    counterexample: List[WindowConfig] = []
 
     def try_prune(e):
         if state.prune(e):
@@ -1269,7 +1243,7 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
         settled[0] += 1
         outcome = _settle(state)
         if outcome == COUNTEREXAMPLE:
-            counter_found[0] = True
+            counterexample.append(e.snapshot())
             e.aborted = True
         elif outcome == INCONCLUSIVE:
             open_configs[0] += 1
@@ -1281,10 +1255,9 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
             lemma_id, VERIFIED, radius, tpl.name, 0,
             note="the pinned window admits no feasible assignment at all",
         )
-    if counter_found[0]:
-        least = _lex_least_counterexample(tpl, lemma_id)
+    if counterexample:
         return LemmaVerdict(
-            lemma_id, COUNTEREXAMPLE, radius, tpl.name, settled[0], least,
+            lemma_id, COUNTEREXAMPLE, radius, tpl.name, settled[0], counterexample[0],
             note="advisory: the window refutes the conclusion with decided "
                  "vertices only; re-run with a larger window",
         )
@@ -1331,19 +1304,6 @@ def _make_state(lemma_id: str, eng: _Engine) -> _LemmaState:
     if len(anchors) != (2 if lemma_id == "L4" else 1):
         raise ValueError("window must pin exactly " + _ANCHORS_WANTED[lemma_id])
     return _STATE_BY_LEMMA[lemma_id](eng, anchors)
-
-
-def _lex_least_counterexample(tpl: Template, lemma_id: str) -> Optional[WindowConfig]:
-    state = _make_state(lemma_id, _Engine(tpl.region(), tpl.constraints()))
-    found: List[Optional[WindowConfig]] = [None]
-
-    def on_leaf(e):
-        if _settle(state) == COUNTEREXAMPLE:
-            found[0] = e.snapshot()
-            e.aborted = True
-
-    state.eng.search(on_leaf, try_prune=state.prune, static_order=True)
-    return found[0]
 
 
 # ---------------------------------------------------------------------------

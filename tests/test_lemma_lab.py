@@ -15,6 +15,7 @@ from hexident.hexgrid import Vertex, layers, neighbors
 from hexident import hexgrid
 from hexident.cluster import Cluster, UnsupportedKind
 from hexident import lemma_lab as ll
+from hexident.optimize import random_code
 from hexident.lemma_lab import (
     COUNTEREXAMPLE,
     IN,
@@ -98,12 +99,14 @@ def test_pins_are_respected():
         assert m[Vertex(0, 0, 0)] == OUT
 
 
-def test_interior_always_decided():
+def test_every_window_vertex_decided():
     region = ball(V0, 2)
-    for cfg in ll.enumerate(region):
-        m = cfg.as_mapping()
-        for v in cfg.interior():
-            assert m[v] != UNKNOWN
+    pins = {Vertex(0, 0, 0): OUT, Vertex(5, 5, 0): IN}
+    for constraints in (None, pins):
+        configs = list(ll.enumerate(region, constraints))
+        assert configs
+        for cfg in configs:
+            assert set(cfg.status) <= {IN, OUT}
 
 
 def test_region_cap():
@@ -368,9 +371,13 @@ def test_unpaired_clusters_are_refused():
         check_lemma("L4", template=_with_rows("fig4", far))
 
 
-def test_interior_vertex_pinned_unknown_is_refused():
-    with pytest.raises(ValueError, match="interior vertex"):
-        list(ll.enumerate(ball(V0, 1), {V0: UNKNOWN}))
+def test_unknown_pin_is_refused():
+    # a pin is IN or OUT; a vertex left to the enumeration is simply not
+    # pinned, on the boundary as in the interior
+    region = ball(V0, 1)
+    for v in (V0, Vertex(0, 0, 0)):
+        with pytest.raises(ValueError, match="bad constraint status"):
+            list(ll.enumerate(region, {v: UNKNOWN}))
 
 
 def test_bad_constraint_status_is_refused():
@@ -460,6 +467,82 @@ def test_engine_distance_masks_match_reference_table(name):
             assert bool(eng.ring2[i] >> j & 1) == (d(i, j) == 2)
 
 
+def _ref_clause_compile(eng):
+    """The clause compile as it was written over neighbor index tuples: a
+    full vertex's distance-two partners are collected from its neighbors'
+    neighbors.  Returns the full flags and the clause lists."""
+    nb_in = _nb_in(eng)
+    nb_full = [len(row) == 3 for row in nb_in]
+    clauses = [[] for _ in range(eng.n)]
+    for i in range(eng.n):
+        if not nb_full[i]:
+            continue
+        cands = set(nb_in[i])
+        for m in nb_in[i]:
+            cands.update(nb_in[m])
+        own = [_ref_mask(nb_in[i] + (i,))]
+        own += [own[0] ^ _ref_mask(nb_in[j] + (j,)) for j in sorted(cands) if j > i and nb_full[j]]
+        for clause in own:
+            for t in hexgrid.set_bits(clause):
+                clauses[t].append(clause)
+    return nb_full, clauses
+
+
+def _random_windows(count, seed):
+    """Radius-3 balls of random codes, pinned to the code out to radius 1
+    or 2."""
+    rng = random.Random(seed)
+    lattices = [lat for lat in hexgrid.all_lattices(28) if lat.domain_size >= 20]
+    for _ in range(count):
+        code = random_code(rng.choice(lattices), seed=rng.randrange(2**32))
+        centre = rng.choice(list(code.lattice.domain()))
+        pins = {w: IN if code.contains(w) else OUT for w in hexgrid.ball(centre, rng.choice((1, 2)))}
+        yield ball(centre, 3), pins
+
+
+def _engine_windows():
+    for tpl in TEMPLATES.values():
+        yield tpl.region(), tpl.constraints()
+    for lemma_id in ("L1", "L2", "L3", "L4"):
+        for radius in (1, 2, 3):
+            tpl = ll._radius_window(lemma_id, radius)
+            yield tpl.region(), tpl.constraints()
+    yield from _random_windows(12, 8)
+
+
+def test_engine_clauses_match_neighbor_table_compile():
+    # nbmask is within[1], and a full vertex's distance-two partners are
+    # the higher bits of within[2]; lists and order match the old compile
+    for region, pins in _engine_windows():
+        eng = ll._Engine(region, pins)
+        nb_full, clauses = _ref_clause_compile(eng)
+        assert eng.nbmask == [_ref_mask(row + (i,)) for i, row in enumerate(_nb_in(eng))]
+        assert eng.nb_full == nb_full
+        assert eng.clauses == clauses
+
+
+def _lemma_windows():
+    for lemma_id, name in ll._DEFAULT_TEMPLATE.items():
+        yield lemma_id, TEMPLATES[name]
+        for radius in (1, 2, 3):
+            yield lemma_id, ll._radius_window(lemma_id, radius)
+    yield "L4", TEMPLATES["fig6"]
+
+
+def test_growth_margin_keeps_every_anchor_ball():
+    # every zone is cut from the anchors' reach3, which must be the whole
+    # distance-REACH ball of the anchor
+    anchors = 0
+    for lemma_id, tpl in _lemma_windows():
+        eng = ll._Engine(tpl.region(), tpl.constraints())
+        for a in ll._make_state(lemma_id, eng).anchors:
+            anchors += 1
+            ball_k = set().union(*layers([eng.verts[i] for i in a.members], ll.REACH))
+            assert ball_k <= set(eng.index)
+            assert a.reach3 == _ref_mask(eng.index[v] for v in ball_k)
+    assert anchors == 22
+
+
 # ---------------------------------------------------------------------------
 # the component records against the tuple-based rules they replaced
 #
@@ -475,6 +558,14 @@ def _ref_mask(idx):
     for i in idx:
         m |= 1 << i
     return m
+
+
+@functools.lru_cache(maxsize=4)
+def _nb_in(eng):
+    """Per universe vertex, the indices of its in-universe neighbors, in
+    the order of hexgrid.neighbors: the neighbor table the references
+    read."""
+    return [tuple(eng.index[w] for w in neighbors(v) if w in eng.index) for v in eng.verts]
 
 
 # the engine's decided and IN bits of one vertex, as the references read them
@@ -499,7 +590,7 @@ def _ref_components(eng, mem=None):
         while stack:
             u = stack.pop()
             comp.append(u)
-            for w in eng.nb_in[u]:
+            for w in _nb_in(eng)[u]:
                 if (mem >> w) & 1 and not (seen >> w) & 1:
                     seen |= 1 << w
                     stack.append(w)
@@ -514,7 +605,7 @@ def _ref_comp_frontier(eng, comp):
     for i in comp:
         if not eng.nb_full[i]:
             outside = True
-        for j in eng.nb_in[i]:
+        for j in _nb_in(eng)[i]:
             if j not in comp_set and not _decided(eng, j):
                 und.add(j)
     return sorted(und), outside
@@ -531,7 +622,7 @@ def _ref_path_center(eng, comp):
         return None
     comp_set = set(comp)
     for i in comp:
-        if sum(1 for j in eng.nb_in[i] if j in comp_set) == 2:
+        if sum(1 for j in _nb_in(eng)[i] if j in comp_set) == 2:
             return i
     return None
 
@@ -541,7 +632,7 @@ def _ref_center_outside_nb(eng, comp):
     if c is None or not eng.nb_full[c]:
         return None
     comp_set = set(comp)
-    for j in eng.nb_in[c]:
+    for j in _nb_in(eng)[c]:
         if j not in comp_set:
             return j
     return None
@@ -555,7 +646,7 @@ def _ref_cert_big(eng, comp):
         if w is None or not eng.nb_full[w]:
             return False
         c = _ref_path_center(eng, comp)
-        for x in eng.nb_in[w]:
+        for x in _nb_in(eng)[w]:
             if x != c and _decided(eng, x) and _is_in(eng, x):
                 return True
     return False
@@ -571,7 +662,7 @@ def _ref_cert_exact_open3(eng, comp):
     if w is None or not eng.nb_full[w]:
         return False
     c = _ref_path_center(eng, comp)
-    for x in eng.nb_in[w]:
+    for x in _nb_in(eng)[w]:
         if x == c:
             continue
         if not _decided(eng, x) or _is_in(eng, x):
@@ -582,10 +673,10 @@ def _ref_cert_exact_open3(eng, comp):
 def _ref_cert_crowded(eng, comp):
     if len(comp) == 1:
         x = comp[0]
-        for u in eng.nb_in[x]:
+        for u in _nb_in(eng)[x]:
             if not _decided(eng, u) or _is_in(eng, u) or not eng.nb_full[u]:
                 continue
-            others = [j for j in eng.nb_in[u] if j != x]
+            others = [j for j in _nb_in(eng)[u] if j != x]
             if len(others) == 2 and all(_decided(eng, j) and _is_in(eng, j) for j in others):
                 return True
         return False
@@ -638,10 +729,10 @@ def _ref_qual_exact(eng, comp):
         x = comp[0]
         if not eng.nb_full[x]:
             return None
-        for u in eng.nb_in[x]:
+        for u in _nb_in(eng)[x]:
             if not eng.nb_full[u]:
                 return None
-            others = [j for j in eng.nb_in[u] if j != x]
+            others = [j for j in _nb_in(eng)[u] if j != x]
             if not all(_decided(eng, j) for j in others):
                 return None
         return not _ref_cert_crowded(eng, comp)
@@ -650,7 +741,7 @@ def _ref_qual_exact(eng, comp):
         if w is None or not eng.nb_full[w]:
             return None
         c = _ref_path_center(eng, comp)
-        for x in eng.nb_in[w]:
+        for x in _nb_in(eng)[w]:
             if x != c and not _decided(eng, x):
                 return None
         return False
@@ -675,7 +766,7 @@ def _ref_influence_candidates(eng, zone_idx, anchors, comps):
         cands.update(und)
         w = _ref_center_outside_nb(eng, comp)
         if w is not None:
-            for x in eng.nb_in[w]:
+            for x in _nb_in(eng)[w]:
                 if not _decided(eng, x):
                     cands.add(x)
     for anchor in anchors:
@@ -1047,21 +1138,29 @@ class _AlwaysRefuted(ll._LemmaState):
 
 def test_counterexample_verdict_plumbing(monkeypatch):
     # force the per-window evaluation to call every assignment refuting;
-    # the checker must abort, rerun in lexicographic order, and surface the
-    # least refuting window as an advisory counterexample
+    # the checker must stop on the first leaf of its one search and
+    # surface that window as an advisory counterexample
+    tpl = TEMPLATES["fig3a"]
+    first = next(ll.enumerate(tpl.region(), tpl.constraints()))
     monkeypatch.setattr(ll, "_make_state",
                         lambda lid, eng: _AlwaysRefuted(eng, eng.split(eng.pinned_in)))
+    searches = []
+    search = ll._Engine.search
+
+    def counted(eng, *args, **kw):
+        searches.append(eng)
+        search(eng, *args, **kw)
+
+    monkeypatch.setattr(ll._Engine, "search", counted)
     v = check_lemma("L1", template="fig3a")
     assert v.result == COUNTEREXAMPLE
-    assert v.counterexample is not None
     assert "advisory" in v.note
+    assert v.counterexample == first
+    assert v.configs_explored == 1
     m = v.counterexample.as_mapping()
-    for vert, st in TEMPLATES["fig3a"].constraints().items():
+    for vert, st in tpl.constraints().items():
         assert m[vert] == st
-    assert v.counterexample.sort_key() == min(
-        cfg.sort_key()
-        for cfg in ll.enumerate(TEMPLATES["fig3a"].region(), TEMPLATES["fig3a"].constraints())
-    )
+    assert len(searches) == 1
 
 
 # ---------------------------------------------------------------------------
