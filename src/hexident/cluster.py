@@ -105,64 +105,67 @@ class Classification:
         self._class_to_cid: dict[Vertex, int] = {}
         self._anchor_by_class: dict[Vertex, Vertex] = {}
         self._build_clusters()
-
-        self.crowded: dict[int, bool] = {}
-        self.open_: dict[int, bool] = {}
-        self._label_shapes()
-
         self._reach: dict[int, dict[Instance, int]] = {}
         self._nearby: dict[int, frozenset[Instance]] = {}
 
     # -- component extraction --------------------------------------------
 
     def _build_clusters(self):
-        code = self.code
-        lat = code.lattice
-        assigned: set[Vertex] = set()
-        for rep in lat.domain():
-            if rep not in code.members or rep in assigned:
+        lat = self.code.lattice
+        inside = self.code.orbits()
+        assigned: set[int] = set()
+        # ascending orbit index is domain order
+        for rep in sorted(inside):
+            if rep in assigned:
                 continue
-            classes, inst = self._component(rep)
+            at, infinite = self._component(rep, inside)
             cid = len(self.clusters)
-            if inst is None:
-                cluster = Cluster(cid, frozenset(classes), frozenset(classes), True)
+            # each class with the vertex at which the search met it
+            placed = {}
+            for j, (da, db) in at.items():
+                c = lat.vertex_at(j)
+                placed[c] = Vertex(c.a + da, c.b + db, c.s)
+            classes = frozenset(placed)
+            if infinite:
+                cluster = Cluster(cid, classes, classes, True)
             else:
-                cluster = Cluster(cid, frozenset(inst), frozenset(classes), False)
-                for v in inst:
-                    self._anchor_by_class[lat.canonical(v)] = v
+                self._anchor_by_class.update(placed)
+                cluster = Cluster(cid, frozenset(placed.values()), classes, False)
             self.clusters.append(cluster)
             for cls in classes:
                 self._class_to_cid[cls] = cid
-            assigned |= classes
+            assigned.update(at)
 
-    def _component(self, rep: Vertex) -> tuple[set[Vertex], set[Vertex] | None]:
-        """The orbit classes of rep's component, and its instance through
-        rep, or None when the component is infinite.
+    def _component(self, rep: int, inside: set[int]) -> tuple[dict[int, tuple[int, int]], bool]:
+        """The orbits of the component through domain vertex rep, each
+        with the cell offset at which the component first meets it, and
+        whether the component is infinite.
 
-        One breadth-first search in infinite coordinates that expands one
-        vertex per orbit class: translates have translated neighbors, so
-        that reaches every class of the component.  The component is
-        infinite exactly when it reaches two distinct vertices in one class
-        (it then joins a vertex to a nontrivial translate of itself).
+        One breadth-first search over (orbit, offset) pairs through the
+        lattice's neighbour table, expanding one vertex per orbit:
+        translates have translated neighbors, so that reaches every orbit
+        of the component.  The component is infinite exactly when it
+        reaches one orbit at two different offsets (it then joins a vertex
+        to a nontrivial translate of itself).
         """
-        lat = self.code.lattice
-        members = self.code.members
-        by_class = {rep: rep}
+        table = self.code.lattice.table
+        at = {rep: (0, 0)}
         infinite = False
         queue = deque([rep])
         while queue:
-            u = queue.popleft()
-            for w in neighbors(u):
-                c = lat.canonical(w)
-                if c not in members:
+            i = queue.popleft()
+            a, b = at[i]
+            for j, da, db in table[i]:
+                if j not in inside:
                     continue
-                prev = by_class.get(c)
+                off = (a + da, b + db)
+                prev = at.get(j)
                 if prev is None:
-                    by_class[c] = w
-                    queue.append(w)
-                elif prev != w:
+                    at[j] = off
+                    queue.append(j)
+                elif prev != off:
                     infinite = True
-        return set(by_class), None if infinite else set(by_class.values())
+        return at, infinite
 
     # -- instances --------------------------------------------------------
 
@@ -210,15 +213,22 @@ class Classification:
 
     # -- shape labels ------------------------------------------------------
 
-    def _label_shapes(self):
+    # Both shape label maps are computed on first use, like the threat
+    # labels below: a caller that reads only the clusters skips them.
+
+    @cached_property
+    def crowded(self) -> dict[int, bool]:
+        out = {}
         for cl in self.clusters:
-            if cl.infinite:
-                continue
             if cl.size == 1:
-                self.crowded[cl.cid] = self._crowded1(next(iter(cl.vertices)))
+                out[cl.cid] = self._crowded1(next(iter(cl.vertices)))
             elif cl.size == 3:
-                self.crowded[cl.cid] = self._crowded3(cl)
-                self.open_[cl.cid] = self._open3(cl)
+                out[cl.cid] = self._crowded3(cl)
+        return out
+
+    @cached_property
+    def open_(self) -> dict[int, bool]:
+        return {cl.cid: self._open3(cl) for cl in self.clusters if cl.size == 3}
 
     def _crowded1(self, v: Vertex) -> bool:
         code = self.code

@@ -2,10 +2,12 @@
 
 A PeriodicCode is a lattice-periodic subset D of the infinite grid,
 stored as the set of orbit representatives inside one fundamental
-domain.  All predicates are evaluated on the infinite grid through
-canonical() membership lookups; nothing here quotients the grid to a
-torus, so tiny periods behave correctly (orbit-mates at distance <= 2
-are genuinely distinct vertices and must carry distinct identifiers).
+domain.  All predicates are evaluated on the infinite grid: a vertex is
+looked up by its orbit, and the clauses below are walked out on infinite
+vertices before they are read as orbits.  Nothing here quotients the
+grid to a torus, so tiny periods behave correctly (orbit-mates at
+distance <= 2 are genuinely distinct vertices and must carry distinct
+identifiers).
 
 The verifier compiles, once per lattice, a list of positive clauses
 over orbit classes:
@@ -21,6 +23,15 @@ Vertices at distance >= 3 have disjoint closed neighborhoods, so once
 identifiers are nonempty those pairs are automatically distinguished;
 the clause list is therefore complete.  The same clauses drive the
 minimum-code search.
+
+The clauses of one domain vertex are a fixed pattern on the infinite
+grid, the same for every vertex of a sublattice up to translation.  The
+compile works the two patterns out once, as positions in the radius-3
+ball around (0, 0, s) reached by walking neighbor slots, and translates
+them to each domain vertex by the same walk through the lattice's
+neighbour table.  Each clause keeps its orbits as a short sorted tuple,
+so a clause list costs memory in proportion to its length, not to the
+square of the domain.
 """
 
 from __future__ import annotations
@@ -30,20 +41,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from hexident.hexgrid import PeriodLattice, Vertex, ball, closed_neighborhood
+from hexident.hexgrid import PeriodLattice, Vertex, closed_neighborhood, layers, neighbors, set_bits
 
 EMPTY_IDENTIFIER = "EmptyIdentifier"
 INDISTINGUISHABLE_PAIR = "IndistinguishablePair"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    """Positive clause: at least one class in mask belongs to the code."""
+    """Positive clause: at least one of its orbits belongs to the code."""
 
-    mask: int
+    orbits: tuple[int, ...]  # ascending, distinct
     kind: str
     u: Vertex
     v: Vertex | None
+
+    @property
+    def mask(self) -> int:
+        """The orbits as a bitmask over orbit indices."""
+        mask = 0
+        for i in self.orbits:
+            mask |= 1 << i
+        return mask
 
 
 @dataclass(frozen=True)
@@ -56,33 +75,66 @@ class Violation:
         return f"{self.kind} {vs}"
 
 
-@functools.lru_cache(maxsize=None)
-def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
-    """The complete clause list for codes on this lattice."""
-    out = []
-    for u in lattice.domain():
-        mask = 0
-        for w in closed_neighborhood(u):
-            mask |= 1 << lattice.index(w)
-        out.append(Constraint(mask, EMPTY_IDENTIFIER, u, None))
+@functools.cache
+def _pattern(s: int):
+    """The clauses of the domain vertex u = (0, 0, s), on infinite vertices.
 
+    Returns (walk, partners).  The radius-3 ball around u is numbered in
+    breadth-first order, u first and its neighbors next; walk[t - 1] is
+    (parent, slot): position t is neighbors() entry slot of position
+    parent.  partners lists, for each v within distance 2 of u in sorted
+    order, (position of v, v, mirrored, positions of N[u] ^ N[v]), where
+    mirrored says v is greater than its mirror through u, the same pair
+    translated by u - v.
+    """
+    u = Vertex(0, 0, s)
+    pos = {u: 0}
+    walk = []
+    near = []
+    for d, layer in enumerate(layers((u,), 2)):
+        if d:
+            near.extend(layer)
+        for w in layer:
+            for slot, x in enumerate(neighbors(w)):
+                if x not in pos:
+                    pos[x] = len(pos)
+                    walk.append((pos[w], slot))
+    nu = set(closed_neighborhood(u))
+    partners = []
+    for v in sorted(near):
+        diff = nu ^ set(closed_neighborhood(v))
+        # girth 6 leaves no twin vertices, so the difference is nonempty
+        assert diff, "closed neighborhoods of distinct vertices differ"
+        mirrored = v > Vertex(-v.a, -v.b, v.s)
+        partners.append((pos[v], v, mirrored, tuple(sorted(pos[w] for w in diff))))
+    return tuple(walk), tuple(partners)
+
+
+@functools.lru_cache(maxsize=256)
+def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
+    """The complete clause list for codes on this lattice.
+
+    Identifier clauses first, then pair clauses, each in domain order;
+    the pairs of one vertex u in sorted order of v.  Cached per lattice,
+    for up to 256 lattices.
+    """
+    table = lattice.table
+    empties, pairs = [], []
     for i, u in enumerate(lattice.domain()):
-        nu = set(closed_neighborhood(u))
-        for v in sorted(ball(u, 2) - {u}):
+        walk, partners = _pattern(u.s)
+        at = [i]
+        for parent, slot in walk:
+            at.append(table[at[parent]][slot][0])
+        empties.append(Constraint(tuple(sorted(set(at[:4]))), EMPTY_IDENTIFIER, u, None))
+        for t, v, mirrored, diff in partners:
             # each pair once up to translation: at the end of lesser orbit
             # index, and within one orbit at the lesser of v and its mirror
-            # through u (the same pair, translated by u - v)
-            j = lattice.index(v)
-            if j < i or (j == i and v > Vertex(2 * u.a - v.a, 2 * u.b - v.b, v.s)):
+            j = at[t]
+            if j < i or (j == i and mirrored):
                 continue
-            diff = nu ^ set(closed_neighborhood(v))
-            # girth 6 leaves no twin vertices, so the difference is nonempty
-            assert diff, "closed neighborhoods of distinct vertices differ"
-            mask = 0
-            for w in diff:
-                mask |= 1 << lattice.index(w)
-            out.append(Constraint(mask, INDISTINGUISHABLE_PAIR, u, v))
-    return tuple(out)
+            orbits = tuple(sorted({at[x] for x in diff}))
+            pairs.append(Constraint(orbits, INDISTINGUISHABLE_PAIR, u, Vertex(u.a + v.a, u.b + v.b, v.s)))
+    return tuple(empties + pairs)
 
 
 @dataclass(frozen=True)
@@ -111,6 +163,10 @@ class PeriodicCode:
         )
         return cls(lattice, members)
 
+    def orbits(self) -> set[int]:
+        """The orbit indices of the members, as a new set on each call."""
+        return set(set_bits(self._bits))
+
     def contains(self, v: Vertex) -> bool:
         return self.lattice.canonical(v) in self.members
 
@@ -130,10 +186,10 @@ class PeriodicCode:
         Reported pairs are translation-canonical and the list order is
         deterministic.
         """
-        bits = self._bits
+        inside = self.orbits()
         out = []
         for c in identifying_constraints(self.lattice):
-            if bits & c.mask:
+            if not inside.isdisjoint(c.orbits):
                 continue
             if c.kind == EMPTY_IDENTIFIER:
                 out.append(Violation(c.kind, (c.u,)))

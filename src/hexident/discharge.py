@@ -12,22 +12,35 @@ credits orbit representatives, and equivariance of the donor selection
 makes the per-domain sums equal the per-instance flows of the infinite
 grid.  Cluster-level transfers remember the donor instance offset so
 the outflow claims can be audited instance-wise.
+
+While an engine runs, charges are integer numerators over one fixed
+denominator per engine, kept in a list by orbit index: every amount
+either engine moves is a whole number of those units.  The ledger turns
+them into Fractions once, when it is built.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from hexident.hexgrid import Vertex, neighbors, share_face
+from hexident.hexgrid import Vertex, share_face
 from hexident.code import PeriodicCode
 from hexident.cluster import Classification, Cluster, Instance, UnsupportedKind
 
 RULE_AMOUNT = Fraction(1, 29)
 MAIN_TARGET = Fraction(12, 29)
 PROP1_TARGET = Fraction(2, 5)
+
+# the charge units: rule 1 moves target/k for k = 1, 2, 3 donors, so
+# 30 = lcm(5, 10, 15) for prop1; 174 = lcm(29, 58, 87) for main, which
+# also holds RULE_AMOUNT as six units
+PROP1_DENOM = 30
+MAIN_DENOM = 174
+_RULE_UNITS = int(RULE_AMOUNT * MAIN_DENOM)
 
 
 class InvalidCode(ValueError):
@@ -130,30 +143,59 @@ def _require_valid(code: PeriodicCode):
         raise InvalidCode(f"not an identifying code: {bad[0]}")
 
 
-def _rule1(code: PeriodicCode, unit: int, final: dict, transfers: list):
-    # unit 29 pays 12/(29k); unit 5 pays 2/(5k)
-    lat = code.lattice
-    numer = 12 if unit == 29 else 2
-    for w in lat.domain():
-        if w in code.members:
+@functools.cache
+def _rule1_pay(target: Fraction, denom: int) -> tuple:
+    """What rule 1 moves per donor when a vertex has k code neighbors:
+    (target/k as one shared Fraction, its numerator over denom), by k."""
+    pay = [(None, 0)]
+    for k in (1, 2, 3):
+        amount = target / k
+        units = amount * denom
+        if units.denominator != 1:
+            raise ValueError(f"denominator {denom} does not hold {amount}")
+        pay.append((amount, units.numerator))
+    return tuple(pay)
+
+
+def _rule1(code: PeriodicCode, target: Fraction, denom: int) -> tuple[list[int], list]:
+    """Rule 1: each non-code vertex takes target/k from each of its k code
+    neighbors.  Returns the charge numerators over denom by orbit index,
+    from one unit per code vertex, and the transfers."""
+    domain = list(code.lattice.domain())
+    inside = code.orbits()
+    pay = _rule1_pay(target, denom)
+    charge = [denom if i in inside else 0 for i in range(len(domain))]
+    transfers = []
+    for i, row in enumerate(code.lattice.table):
+        if i in inside:
             continue
-        donors = [u for u in neighbors(w) if code.contains(u)]
-        k = len(donors)
-        amount = Fraction(numer, unit * k)
-        for u in donors:
-            cu = lat.canonical(u)
-            final[w] += amount
-            final[cu] -= amount
-            transfers.append(Transfer(1, cu, w, amount))
+        donors = [j for j, _, _ in row if j in inside]
+        amount, units = pay[len(donors)]
+        w = domain[i]
+        for j in donors:
+            charge[i] += units
+            charge[j] -= units
+            transfers.append(Transfer(1, domain[j], w, amount))
+    return charge, transfers
+
+
+def _final(lattice, charge: list[int], denom: int) -> dict:
+    """The charges as {domain vertex: Fraction}, one Fraction per value."""
+    fracs: dict = {}
+    out = {}
+    for v, n in zip(lattice.domain(), charge):
+        f = fracs.get(n)
+        if f is None:
+            f = fracs[n] = Fraction(n, denom)
+        out[v] = f
+    return out
 
 
 def run_prop1(code: PeriodicCode) -> ChargeLedger:
     """Edge-local engine: every non-code vertex ends at exactly 2/5."""
     _require_valid(code)
-    lat = code.lattice
-    final = {v: Fraction(1 if v in code.members else 0) for v in lat.domain()}
-    transfers: list = []
-    _rule1(code, 5, final, transfers)
+    charge, transfers = _rule1(code, PROP1_TARGET, PROP1_DENOM)
+    final = _final(code.lattice, charge, PROP1_DENOM)
     return ChargeLedger(code, Classification(code), "prop1", final, transfers)
 
 
@@ -161,11 +203,12 @@ def _donor_key(cls: Classification, inst: Instance):
     return (min(cls.instance_vertices(inst)), inst)
 
 
-def _pay_cluster(cls, final, transfers, rule, donor, recipient_cid, mode=None):
+def _pay_cluster(cls, charge, transfers, rule, donor, recipient_cid, mode=None):
+    index = cls.code.lattice.index
     debit = min(cls.clusters[donor.cid].classes)
     credit = min(cls.clusters[recipient_cid].classes)
-    final[debit] -= RULE_AMOUNT
-    final[credit] += RULE_AMOUNT
+    charge[index(debit)] -= _RULE_UNITS
+    charge[index(credit)] += _RULE_UNITS
     transfers.append(Transfer(rule, donor, recipient_cid, RULE_AMOUNT, mode))
 
 
@@ -180,22 +223,22 @@ _RESCUE_1 = (
 )
 
 
-def _rescue_1cluster(cls: Classification, cl: Cluster, final, transfers, notes):
+def _rescue_1cluster(cls: Classification, cl: Cluster, charge, transfers, notes):
     (v,) = cl.vertices
     near = cls.nearby(cl)
     for rule, mode, qualifies in _RESCUE_1:
         donors = [i for i in near if qualifies(cls, v, i)]
         if donors:
             donor = min(donors, key=lambda i: _donor_key(cls, i))
-            _pay_cluster(cls, final, transfers, rule, donor, cl.cid, mode)
+            _pay_cluster(cls, charge, transfers, rule, donor, cl.cid, mode)
             return
     notes.append(f"uncrowded 1-cluster {cl.cid} has no qualifying donor")
 
 
-def _rescue_needy(cls: Classification, cl: Cluster, final, transfers, notes):
+def _rescue_needy(cls: Classification, cl: Cluster, charge, transfers, notes):
     donors = [i for i in cls.nearby(cl) if cls.is_open3(i.cid) and not cls.paired(cl, i)]
     if donors:
-        _pay_cluster(cls, final, transfers, 5, min(donors, key=lambda i: _donor_key(cls, i)), cl.cid)
+        _pay_cluster(cls, charge, transfers, 5, min(donors, key=lambda i: _donor_key(cls, i)), cl.cid)
     else:
         notes.append(f"needy cluster {cl.cid} has no qualifying donor")
 
@@ -203,18 +246,16 @@ def _rescue_needy(cls: Classification, cl: Cluster, final, transfers, notes):
 def run_main(code: PeriodicCode) -> ChargeLedger:
     """Rules 1 to 5 with literal precedence and deterministic donors."""
     _require_valid(code)
-    lat = code.lattice
     cls = Classification(code)
-    final = {v: Fraction(1 if v in code.members else 0) for v in lat.domain()}
-    transfers: list = []
+    charge, transfers = _rule1(code, MAIN_TARGET, MAIN_DENOM)
     notes: list = []
-    _rule1(code, 29, final, transfers)
     for cl in cls.clusters:
         if cl.size == 1 and not cls.crowded[cl.cid]:
-            _rescue_1cluster(cls, cl, final, transfers, notes)
+            _rescue_1cluster(cls, cl, charge, transfers, notes)
     for cl in cls.clusters:
         if cl.size == 3 and cls.needy.get(cl.cid):
-            _rescue_needy(cls, cl, final, transfers, notes)
+            _rescue_needy(cls, cl, charge, transfers, notes)
+    final = _final(code.lattice, charge, MAIN_DENOM)
     return ChargeLedger(code, cls, "main", final, transfers, notes)
 
 

@@ -17,12 +17,19 @@ distance masks elsewhere in the package.  The scales in this package
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the
-2*p*q vertices with 0 <= a < p, 0 <= b < q.
+2*p*q vertices with 0 <= a < p, 0 <= b < q, numbered by index(); the
+orbit of a vertex is the domain vertex it translates onto.  Every vertex
+of the infinite grid is then one pair (orbit index, cell offset): the
+domain vertex of that index shifted by the offset.  The lattice's table,
+compiled once on first use, lists the three neighbours of each orbit in
+that form, so code that walks the grid of a periodic set follows integer
+lookups instead of canonicalising every vertex it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -208,6 +215,32 @@ class PeriodLattice:
             for b in range(self.q):
                 yield Vertex(a, b, 0)
                 yield Vertex(a, b, 1)
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The neighbours of every orbit, built on first use.
+
+        table[i] holds one (j, da, db) per neighbour w of vertex_at(i), in
+        neighbors() order: j is w's orbit index and (da, db) the cell
+        offset of w from vertex_at(j).  All three entries are kept when
+        two neighbours share an orbit.  Translating, the vertex of orbit i
+        at offset (a, b) has its neighbours at (j, a + da, b + db).
+        """
+        p, q, shear = self.p, self.q, self.shear
+
+        def entry(a: int, b: int, s: int) -> tuple[int, int, int]:
+            # canonical() inline, for one step outside the domain
+            k = b // q
+            ca = (a - k * shear) % p
+            return ((ca * q + b - k * q) * 2 + s, a - ca, k * q)
+
+        rows = []
+        for a in range(p):
+            for b in range(q):
+                # neighbors() of (a, b, 0) and (a, b, 1), in its order
+                rows.append((entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1)))
+                rows.append((entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0)))
+        return tuple(rows)
 
     def translate(self, v: Vertex, k1: int, k2: int) -> Vertex:
         """v shifted by k1*(p, 0) + k2*(shear, q) in cell space."""

@@ -9,9 +9,12 @@ import json
 import random
 from collections import deque
 
+import pytest
+
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, neighbors
 from hexident.code import PeriodicCode
 from hexident.cluster import Classification, Instance, UnsupportedKind, clusters
+from hexident.optimize import enumerate_codes, random_code
 
 
 def bare(p, q, members, shear=0):
@@ -329,6 +332,76 @@ def test_components_match_two_pass_reference_on_random_codes():
         infinite += sum(entry[2] for entry in got)
         finite += sum(not entry[2] for entry in got)
     assert infinite >= 100 and finite >= 1000
+
+
+def _ref_component(code, rep):
+    """The canonical() breadth-first search the table search replaced:
+    the classes of rep's component, and its instance through rep, or None
+    when one class is reached at two distinct vertices."""
+    lat = code.lattice
+    by_class = {rep: rep}
+    infinite = False
+    queue = deque([rep])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors(u):
+            c = lat.canonical(w)
+            if c not in code.members:
+                continue
+            prev = by_class.get(c)
+            if prev is None:
+                by_class[c] = w
+                queue.append(w)
+            elif prev != w:
+                infinite = True
+    return set(by_class), None if infinite else set(by_class.values())
+
+
+def _component_corpus(kind):
+    rng = random.Random(20261018)
+    if kind == "acceptance":
+        # the acceptance gate's codes: every identifying code with 2pq <= 12
+        # and 1000 seeded random verified codes with 2pq <= 28
+        codes = [code for lat in all_lattices(12) for code in enumerate_codes(lat)]
+        lattices = list(all_lattices(28))
+        return codes + [random_code(lattices[i % len(lattices)], seed=i) for i in range(1000)]
+    lattices = list(all_lattices(40))
+    codes = []
+    for _ in range(300):
+        lat = rng.choice(lattices)
+        if kind == "random":
+            density = rng.uniform(0.2, 0.7)
+            members = {v for v in lat.domain() if rng.random() < density}
+        else:
+            # planted: a few random walks, which wrap around small periods
+            members = set()
+            for _ in range(rng.randint(1, 6)):
+                v = Vertex(rng.randrange(lat.p), rng.randrange(lat.q), rng.randrange(2))
+                for _ in range(rng.randint(0, 12)):
+                    members.add(v)
+                    v = rng.choice(neighbors(v))
+        codes.append(PeriodicCode(lat, frozenset(members)))
+    return codes
+
+
+@pytest.mark.parametrize("kind", ["acceptance", "planted", "random"])
+def test_table_component_matches_canonical_search(kind):
+    infinite = finite = 0
+    for code in _component_corpus(kind):
+        lat = code.lattice
+        cls = Classification(code)
+        inside = code.orbits()
+        for rep in code.members:
+            at, inf = cls._component(lat.index(rep), inside)
+            placed = {}
+            for j, (da, db) in at.items():
+                c = lat.vertex_at(j)
+                placed[c] = Vertex(c.a + da, c.b + db, c.s)
+            got = (set(placed), None if inf else set(placed.values()))
+            assert got == _ref_component(code, rep), (code, rep)
+            infinite += inf
+            finite += not inf
+    assert infinite and finite
 
 
 def test_random_codes_partition_and_maximality():

@@ -13,7 +13,10 @@ from hexident.code import (
     thin_code,
     tile,
 )
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, closed_neighborhood
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, closed_neighborhood, neighbors
+
+# the 8400-vertex lattice of the 3/7 witness tiled 20 x 30 times
+TILED_WITNESS = PeriodLattice(140, 30, 30)
 
 
 def brute_force_ok(code):
@@ -171,10 +174,8 @@ def _ref_pair_constraints(lattice):
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            mask = 0
-            for w in nu ^ set(closed_neighborhood(v)):
-                mask |= 1 << lattice.index(w)
-            out.append(Constraint(mask, INDISTINGUISHABLE_PAIR, *key))
+            orbits = tuple(sorted({lattice.index(w) for w in nu ^ set(closed_neighborhood(v))}))
+            out.append(Constraint(orbits, INDISTINGUISHABLE_PAIR, *key))
     return out
 
 
@@ -185,6 +186,44 @@ def test_pair_dedup_by_orbit_index_matches_pair_keys():
     for lat in lattices:
         pairs = [c for c in identifying_constraints(lat) if c.kind == INDISTINGUISHABLE_PAIR]
         assert pairs == _ref_pair_constraints(lat), lat
+
+
+def _ref_constraints(lattice):
+    """The clause list as the compile once built it, on Vertex sets with
+    canonical() lookups: (orbits, kind, u, v) per clause, in order."""
+    out = []
+    for u in lattice.domain():
+        orbits = {lattice.index(w) for w in closed_neighborhood(u)}
+        out.append((orbits, EMPTY_IDENTIFIER, u, None))
+    for i, u in enumerate(lattice.domain()):
+        nu = set(closed_neighborhood(u))
+        for v in sorted(ball(u, 2) - {u}):
+            j = lattice.index(v)
+            if j < i or (j == i and v > Vertex(2 * u.a - v.a, 2 * u.b - v.b, v.s)):
+                continue
+            orbits = {lattice.index(w) for w in nu ^ set(closed_neighborhood(v))}
+            out.append((orbits, INDISTINGUISHABLE_PAIR, u, v))
+    return out
+
+
+def test_pattern_compile_matches_vertex_set_compile():
+    lattices = list(all_lattices(48))
+    assert len(lattices) == 491
+    for lat in lattices + [TILED_WITNESS]:
+        got = identifying_constraints(lat)
+        assert [(set(c.orbits), c.kind, c.u, c.v) for c in got] == _ref_constraints(lat), lat
+        assert all(list(c.orbits) == sorted(set(c.orbits)) for c in got), lat
+
+
+def test_clauses_store_sparse_orbit_tuples():
+    # on a domain this large the orbits of any clause are distinct, so
+    # each clause holds exactly its vertex count: 4 for N[u] and for a
+    # distance-1 pair, 6 for a distance-2 pair, and no per-clause n-bit mask
+    for c in identifying_constraints(TILED_WITNESS):
+        width = 6 if c.v is not None and c.v not in neighbors(c.u) else 4
+        assert type(c.orbits) is tuple and len(c.orbits) == width, c
+        assert not hasattr(c, "__dict__")
+        assert c.mask.bit_count() == len(c.orbits)
 
 
 def test_thin_code_removes_orbits():

@@ -14,14 +14,17 @@ from fractions import Fraction
 import pytest
 
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, distance, neighbors, set_distance
-from hexident.code import PeriodicCode, full_code
+from hexident.code import PeriodicCode, full_code, tile
 from hexident.cluster import Classification, UnsupportedKind
+from hexident.optimize import SearchSpec, enumerate_codes, minimum_code, random_code
 from hexident.discharge import (
     ChargeLedger,
     InvalidCode,
+    MAIN_DENOM,
     MAIN_TARGET,
     PROP1_TARGET,
     RULE_AMOUNT,
+    Transfer,
     _rescue_1cluster,
     _rescue_needy,
     _rule1,
@@ -46,10 +49,17 @@ def cid_of(cls, v):
     return cls.cluster_of_class(cls.code.lattice.canonical(Vertex(*v)))
 
 
+def moved(charge):
+    """The nonzero charges a rescue left, as sorted Fractions."""
+    return sorted(Fraction(n, MAIN_DENOM) for n in charge if n)
+
+
 def rescue1(cls, cid):
-    final = {v: Fraction(0) for v in cls.code.lattice.domain()}
+    charge = [0] * cls.code.lattice.domain_size
     transfers, notes = [], []
-    _rescue_1cluster(cls, cls.clusters[cid], final, transfers, notes)
+    _rescue_1cluster(cls, cls.clusters[cid], charge, transfers, notes)
+    # one payment debits the donor and credits the recipient
+    assert moved(charge) == ([-RULE_AMOUNT, RULE_AMOUNT] if transfers else [])
     return transfers, notes
 
 
@@ -192,12 +202,13 @@ def test_needy_rescue_with_unpaired_donor():
         assert cls.clusters[tcid].size == 1 and cls.threatened[tcid]
     assert cls.needy_support(cls.clusters[ncid]) == 4
     assert cls.needy[ncid]
-    final = {v: Fraction(0) for v in code.lattice.domain()}
+    charge = [0] * code.lattice.domain_size
     transfers, notes = [], []
-    _rescue_needy(cls, cls.clusters[ncid], final, transfers, notes)
+    _rescue_needy(cls, cls.clusters[ncid], charge, transfers, notes)
     assert not notes
     (t,) = transfers
     assert (t.rule, t.src.cid, t.dst, t.amount) == (5, dcid, ncid, RULE_AMOUNT)
+    assert moved(charge) == [-RULE_AMOUNT, RULE_AMOUNT]
 
 
 def test_needy_without_donor_leaves_note():
@@ -205,10 +216,10 @@ def test_needy_without_donor_leaves_note():
     cls = Classification(code)
     ncid = cid_of(cls, NEEDY3[1])
     assert cls.needy[ncid]
-    final = {v: Fraction(0) for v in code.lattice.domain()}
+    charge = [0] * code.lattice.domain_size
     transfers, notes = [], []
-    _rescue_needy(cls, cls.clusters[ncid], final, transfers, notes)
-    assert transfers == []
+    _rescue_needy(cls, cls.clusters[ncid], charge, transfers, notes)
+    assert transfers == [] and moved(charge) == []
     assert notes and "no qualifying donor" in notes[0]
 
 
@@ -482,16 +493,19 @@ def _unchecked_main(code):
     """run_main without the validity check, so arbitrary sets get a ledger:
     rule 1 runs when every non-code vertex has a code neighbor."""
     cls = Classification(code)
-    final = {v: Fraction(1 if v in code.members else 0) for v in code.lattice.domain()}
-    transfers, notes = [], []
-    if all(any(code.contains(u) for u in neighbors(w)) for w in final if w not in code.members):
-        _rule1(code, 29, final, transfers)
+    lat = code.lattice
+    if all(any(code.contains(u) for u in neighbors(w)) for w in lat.domain() if w not in code.members):
+        charge, transfers = _rule1(code, MAIN_TARGET, MAIN_DENOM)
+    else:
+        charge, transfers = [MAIN_DENOM if v in code.members else 0 for v in lat.domain()], []
+    notes = []
     for cl in cls.clusters:
         if cl.size == 1 and not cls.crowded[cl.cid]:
-            _rescue_1cluster(cls, cl, final, transfers, notes)
+            _rescue_1cluster(cls, cl, charge, transfers, notes)
     for cl in cls.clusters:
         if cl.size == 3 and cls.needy.get(cl.cid):
-            _rescue_needy(cls, cl, final, transfers, notes)
+            _rescue_needy(cls, cl, charge, transfers, notes)
+    final = {v: Fraction(n, MAIN_DENOM) for v, n in zip(lat.domain(), charge)}
     return ChargeLedger(code, cls, "main", final, transfers, notes)
 
 
@@ -587,3 +601,58 @@ def test_relation_matches_reference_searches(kind):
     }[kind]
     for key in floors + ("nearby", "quiet", "loud"):
         assert seen[key] > 0, (key, dict(seen))
+
+
+def _ref_rule1(code, target, final, transfers):
+    """Rule 1 as the engines once ran it: Fractions in a {Vertex: Fraction}
+    dict, donors found by canonical() lookups."""
+    lat = code.lattice
+    for w in lat.domain():
+        if w in code.members:
+            continue
+        donors = [u for u in neighbors(w) if code.contains(u)]
+        amount = target / len(donors)
+        for u in donors:
+            cu = lat.canonical(u)
+            final[w] += amount
+            final[cu] -= amount
+            transfers.append(Transfer(1, cu, w, amount))
+
+
+def _ref_ledger(code, engine):
+    """The ledger an engine builds, with every charge summed in Fractions:
+    rule 1 from _ref_rule1, and each rescue payment the engine made
+    debited from the donor's least class and credited to the
+    recipient's, as the Fraction-dict engine did."""
+    led = engine(code)
+    target = {"main": MAIN_TARGET, "prop1": PROP1_TARGET}[led.engine]
+    final = {v: Fraction(1 if v in code.members else 0) for v in code.lattice.domain()}
+    transfers = []
+    _ref_rule1(code, target, final, transfers)
+    clusters = led.classification.clusters
+    for t in led.transfers[len(transfers):]:
+        assert t.rule != 1
+        final[min(clusters[t.src.cid].classes)] -= t.amount
+        final[min(clusters[t.dst].classes)] += t.amount
+        transfers.append(t)
+    return led, ChargeLedger(code, led.classification, led.engine, final, transfers, led.notes)
+
+
+def test_integer_charges_match_fraction_reference():
+    rng = random.Random(20261018)
+    codes = [code for lat in all_lattices(10) for code in enumerate_codes(lat)]
+    lattices = list(all_lattices(28))
+    codes += [random_code(rng.choice(lattices), seed=rng.randrange(2**32)) for _ in range(150)]
+    codes += [frozen(RULE2_CODE), frozen(RULE3_CODE), sub0(), full_code(PeriodLattice(2, 2))]
+    witness = minimum_code(SearchSpec(PeriodLattice(7, 1, 1))).witness
+    codes.append(tile(witness, 2, 3))
+    seen = Counter()
+    for code in codes:
+        for engine in (run_prop1, run_main):
+            led, ref = _ref_ledger(code, engine)
+            assert json.dumps(led.to_json()) == json.dumps(ref.to_json())
+            seen.update((led.engine, t.rule, t.amount) for t in led.transfers)
+    # every rule-1 amount of both engines, and rescue payments, occur
+    for k in (1, 2, 3):
+        assert seen["prop1", 1, PROP1_TARGET / k] and seen["main", 1, MAIN_TARGET / k]
+    assert seen["main", 2, RULE_AMOUNT] and seen["main", 3, RULE_AMOUNT]

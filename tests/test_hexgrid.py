@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hexident.hexgrid import (
     PeriodLattice,
@@ -82,6 +82,8 @@ def test_girth_is_six():
         assert set(neighbors(u)) & set(neighbors(w)) == {v0}
 
 
+# far-apart pairs flood a large search; no wall-clock deadline
+@settings(deadline=None)
 @given(verts, verts)
 def test_distance_symmetric(u, v):
     d = distance(u, v)
@@ -148,6 +150,19 @@ def test_index_bijective_on_domain(p, q, shear):
     assert sorted(idx) == list(range(lat.domain_size))
     for v in lat.domain():
         assert lat.vertex_at(lat.index(v)) == v
+
+
+def test_table_rows_match_canonical_neighbors():
+    lattices = list(all_lattices(48))
+    assert len(lattices) == 491
+    for lat in lattices:
+        assert len(lat.table) == lat.domain_size
+        for i, row in enumerate(lat.table):
+            want = []
+            for w in neighbors(lat.vertex_at(i)):
+                c = lat.canonical(w)
+                want.append((lat.index(c), w.a - c.a, w.b - c.b))
+            assert list(row) == want, (lat, i)
 
 
 def test_lattice_validation():
