@@ -172,10 +172,7 @@ def _cmd_outflow(args) -> int:
     code = _load_code(args.code)
     ledger = run_main(code)
     cls = ledger.classification
-    at = code.lattice.canonical(args.at)
-    if not code.contains(at):
-        raise ValueError(f"({args.at.a},{args.at.b},{args.at.s}) is not a code vertex")
-    cluster = cls.clusters[cls.cluster_of_class(at)]
+    cluster = cls.clusters[cls.instance_of(args.at).cid]
     total = outflow(ledger, cluster)
     _emit(_frac(total, args.approx), args)
     return 0
@@ -200,10 +197,7 @@ def _cmd_check_lemma(args) -> int:
 def _cmd_shell(args) -> int:
     code = _load_code(args.code)
     cls = Classification(code)
-    at = code.lattice.canonical(args.at)
-    if not code.contains(at):
-        raise ValueError(f"({args.at.a},{args.at.b},{args.at.s}) is not a code vertex")
-    cluster = cls.clusters[cls.cluster_of_class(at)]
+    cluster = cls.clusters[cls.instance_of(args.at).cid]
     size, parts = shell_partition_bound(code, cluster)
     if args.format == "json":
         _emit(json.dumps({"shellSize": size, "minParts": parts}, indent=2), args)

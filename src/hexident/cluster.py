@@ -38,6 +38,14 @@ per cluster.  nearby(cl) is the only definition of nearby and filters
 reach.  A query in the other direction (is cl nearby from an instance
 X + d of another finite cluster X?) reads nearby(X) with cl seen from
 X's frame, as the instance of cl at offset -d.
+
+The labels and reach walk the lattice's neighbour table, not Vertex
+objects: hexgrid.layers runs over nodes (j, a, b), the domain vertex of
+orbit j shifted by the cell offset (a, b).  One map sends each code
+orbit j to (cid, da, db), its cluster and the offset at which the
+cluster's anchored instance holds it, so a code node (j, a, b) lies in
+the instance at offset (a - da, b - db), the anchored one exactly when
+the map gives (cid, a, b).
 """
 
 from __future__ import annotations
@@ -45,9 +53,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from hexident.hexgrid import Vertex, ball, layers, neighbors, sphere
+from hexident.hexgrid import Vertex, layers
 from hexident.code import PeriodicCode
 
 
@@ -84,17 +92,6 @@ class Cluster:
     def anchored(self) -> Instance:
         return Instance(self.cid, 0, 0)
 
-    def center(self) -> Vertex:
-        """Degree-2 vertex of a 3-cluster (a path by girth 6)."""
-        assert self.size == 3
-        for v in self.vertices:
-            if sum(1 for w in neighbors(v) if w in self.vertices) == 2:
-                return v
-
-    def leaves(self) -> tuple[Vertex, Vertex]:
-        c = self.center()
-        return tuple(sorted(self.vertices - {c}))
-
 
 class Classification:
     """Clusters of one code plus every label the discharge rules read."""
@@ -102,8 +99,9 @@ class Classification:
     def __init__(self, code: PeriodicCode):
         self.code = code
         self.clusters: list[Cluster] = []
-        self._class_to_cid: dict[Vertex, int] = {}
-        self._anchor_by_class: dict[Vertex, Vertex] = {}
+        self._place: dict[int, tuple[int, int, int]] = {}
+        # per cluster, its orbits with their offsets, as _component found them
+        self._members: list[dict[int, tuple[int, int]]] = []
         self._build_clusters()
         self._reach: dict[int, dict[Instance, int]] = {}
         self._nearby: dict[int, frozenset[Instance]] = {}
@@ -113,10 +111,10 @@ class Classification:
     def _build_clusters(self):
         lat = self.code.lattice
         inside = self.code.orbits()
-        assigned: set[int] = set()
+        place = self._place
         # ascending orbit index is domain order
         for rep in sorted(inside):
-            if rep in assigned:
+            if rep in place:
                 continue
             at, infinite = self._component(rep, inside)
             cid = len(self.clusters)
@@ -125,16 +123,11 @@ class Classification:
             for j, (da, db) in at.items():
                 c = lat.vertex_at(j)
                 placed[c] = Vertex(c.a + da, c.b + db, c.s)
+                place[j] = (cid, da, db)
             classes = frozenset(placed)
-            if infinite:
-                cluster = Cluster(cid, classes, classes, True)
-            else:
-                self._anchor_by_class.update(placed)
-                cluster = Cluster(cid, frozenset(placed.values()), classes, False)
-            self.clusters.append(cluster)
-            for cls in classes:
-                self._class_to_cid[cls] = cid
-            assigned.update(at)
+            vertices = classes if infinite else frozenset(placed.values())
+            self.clusters.append(Cluster(cid, vertices, classes, infinite))
+            self._members.append(at)
 
     def _component(self, rep: int, inside: set[int]) -> tuple[dict[int, tuple[int, int]], bool]:
         """The orbits of the component through domain vertex rep, each
@@ -167,49 +160,48 @@ class Classification:
                     infinite = True
         return at, infinite
 
+    def cluster_orbits(self, cid: int) -> Iterable[int]:
+        """The orbit indices of a cluster's classes."""
+        return self._members[cid].keys()
+
     # -- instances --------------------------------------------------------
 
-    def cluster_of_class(self, cls: Vertex) -> int:
-        return self._class_to_cid[cls]
+    def _nodes(self, cid: int, da: int = 0, db: int = 0) -> list[tuple[int, int, int]]:
+        """The nodes of a finite cluster's instance at offset (da, db)."""
+        return [(j, a + da, b + db) for j, (a, b) in self._members[cid].items()]
 
-    def instance_of(self, w: Vertex) -> Instance:
-        """The component instance containing code vertex w."""
-        cls = self.code.lattice.canonical(w)
-        cid = self._class_to_cid[cls]
+    def _instance(self, j: int, a: int, b: int) -> Instance:
+        """The instance holding the code node (j, a, b)."""
+        cid, da, db = self._place[j]
         if self.clusters[cid].infinite:
             return Instance(cid, 0, 0)
-        u0 = self._anchor_by_class[cls]
-        return Instance(cid, w.a - u0.a, w.b - u0.b)
+        return Instance(cid, a - da, b - db)
+
+    def instance_of(self, w: Vertex) -> Instance:
+        """The component instance containing w, which must be a code vertex."""
+        lat = self.code.lattice
+        j = lat.index(w)
+        if j not in self._place:
+            raise ValueError(f"({w.a},{w.b},{w.s}) is not a code vertex")
+        c = lat.vertex_at(j)
+        return self._instance(j, w.a - c.a, w.b - c.b)
 
     def instance_vertices(self, inst: Instance) -> frozenset[Vertex]:
         cluster = self.clusters[inst.cid]
-        if cluster.infinite:
-            return cluster.vertices
-        if inst.da == 0 and inst.db == 0:
+        if cluster.infinite or inst.da == inst.db == 0:
             return cluster.vertices
         return frozenset(Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in cluster.vertices)
 
+    def _center_node(self, inst: Instance) -> tuple[int, int, int]:
+        j = self._center(inst.cid)
+        _, a, b = self._place[j]
+        return (j, a + inst.da, b + inst.db)
+
     def instance_center(self, inst: Instance) -> Vertex:
-        c = self.clusters[inst.cid].center()
-        return Vertex(c.a + inst.da, c.b + inst.db, c.s)
-
-    def cluster_distance(self, c1: Cluster, c2: Cluster) -> int:
-        """Min distance between an instance of c1 and a distinct instance of c2.
-
-        Minimized over translates: the search runs from c1.vertices (the
-        anchored instance, or the class representatives when c1 is
-        infinite) until it reaches any vertex in an orbit class of c2.
-        Orbits are translation invariant, so that is the min over
-        translates either way.  The sources never count as a hit, so for
-        c1 = c2 only other instances are reached; the instances of an
-        infinite orbit are not told apart, so that case is refused.
-        """
-        if c1.infinite and c1.cid == c2.cid:
-            raise ValueError("instances of one infinite orbit are not separable")
-        canonical = self.code.lattice.canonical
-        targets = c2.classes
-        # no radius: the search ends on the first hit
-        return len(layers(c1.vertices, stop=lambda w: canonical(w) in targets)) - 1
+        """The degree-2 vertex of a 3-cluster instance (a path by girth 6)."""
+        j, a, b = self._center_node(inst)
+        c = self.code.lattice.vertex_at(j)
+        return Vertex(c.a + a, c.b + b, c.s)
 
     # -- shape labels ------------------------------------------------------
 
@@ -221,7 +213,7 @@ class Classification:
         out = {}
         for cl in self.clusters:
             if cl.size == 1:
-                out[cl.cid] = self._crowded1(next(iter(cl.vertices)))
+                out[cl.cid] = self._crowded1(cl)
             elif cl.size == 3:
                 out[cl.cid] = self._crowded3(cl)
         return out
@@ -230,25 +222,32 @@ class Classification:
     def open_(self) -> dict[int, bool]:
         return {cl.cid: self._open3(cl) for cl in self.clusters if cl.size == 3}
 
-    def _crowded1(self, v: Vertex) -> bool:
-        code = self.code
-        for u in neighbors(v):
-            if all(code.contains(x) for x in neighbors(u)):
-                return True
-        return False
+    def _code_degree(self, j: int) -> int:
+        """How many neighbours of a vertex of orbit j are code vertices."""
+        place = self._place
+        return sum(k in place for k, _, _ in self.code.lattice.table[j])
+
+    def _crowded1(self, cl: Cluster) -> bool:
+        (j,) = self._members[cl.cid]
+        return any(self._code_degree(k) == 3 for k, _, _ in self.code.lattice.table[j])
+
+    def _center(self, cid: int) -> int:
+        """The orbit of a 3-cluster's center, its member with two code neighbours."""
+        return next(j for j in self._members[cid] if self._code_degree(j) == 2)
 
     def _open3(self, cl: Cluster) -> bool:
-        center = cl.center()
-        (w,) = [x for x in neighbors(center) if x not in cl.vertices]
-        return not any(self.code.contains(y) for y in neighbors(w) if y != center)
+        c = self._center(cl.cid)
+        (w,) = [k for k, _, _ in self.code.lattice.table[c] if k not in self._place]
+        # the center is one code neighbour of w; open when it is the only one
+        return self._code_degree(w) == 1
 
     def _crowded3(self, cl: Cluster) -> bool:
-        for v in cl.vertices:
-            near = sum(
-                1
-                for w in sphere(v, 2)
-                if w not in cl.vertices and self.code.contains(w)
-            )
+        place, step = self._place, self.code.lattice.step
+        for node in self._nodes(cl.cid):
+            near = 0
+            for j, a, b in layers((node,), 2, step=step)[2]:
+                # a code vertex counts unless it belongs to this instance
+                near += j in place and place[j] != (cl.cid, a, b)
             if near >= 2:
                 return True
         return False
@@ -278,11 +277,12 @@ class Classification:
         got = self._reach.get(cl.cid)
         if got is None:
             got = {}
-            contains = self.code.contains
-            for d, layer in enumerate(layers(cl.vertices, 3)[2:], 2):
-                for w in layer:
-                    if contains(w):
-                        got.setdefault(self.instance_of(w), d)
+            place = self._place
+            around = layers(self._nodes(cl.cid), 3, step=self.code.lattice.step)
+            for d, layer in enumerate(around[2:], 2):
+                for j, a, b in layer:
+                    if j in place:
+                        got.setdefault(self._instance(j, a, b), d)
             self._reach[cl.cid] = got
         return got
 
@@ -291,13 +291,15 @@ class Classification:
         the module docstring defines it; a subset of reach(cl)."""
         got = self._nearby.get(cl.cid)
         if got is None:
+            step = self.code.lattice.step
             if cl.size == 1:
-                (v,) = cl.vertices
-                near = ball(v, 3)
-                hits = lambda i: self.instance_center(i) in near
+                near = set().union(*layers(self._nodes(cl.cid), 3, step=step))
+                hits = lambda i: self._center_node(i) in near
             elif self.is_open3(cl.cid):
-                balls = [ball(leaf, 3) for leaf in cl.leaves()]
-                hits = lambda i: all(not b.isdisjoint(self.instance_vertices(i)) for b in balls)
+                c = self._center(cl.cid)
+                leaves = [n for n in self._nodes(cl.cid) if n[0] != c]
+                balls = [set().union(*layers((n,), 3, step=step)) for n in leaves]
+                hits = lambda i: all(not b.isdisjoint(self._nodes(*i)) for b in balls)
             else:
                 raise UnsupportedKind("nearby is defined from 1-clusters and open 3-clusters")
             got = frozenset(
@@ -404,7 +406,7 @@ class Classification:
                 "nearby": self._nearby_report(cl),
             }
             if cl.size == 3:
-                entry["center"] = list(cl.center())
+                entry["center"] = list(self.instance_center(cl.anchored))
             clusters.append(entry)
         return {
             "lattice": {"p": lat.p, "q": lat.q, "shear": lat.shear},
@@ -426,6 +428,3 @@ class Classification:
             return {"cluster": inst.cid, "offset": None}
         return {"cluster": inst.cid, "offset": [inst.da, inst.db]}
 
-
-def clusters(code: PeriodicCode) -> list[Cluster]:
-    return Classification(code).clusters

@@ -13,10 +13,11 @@ makes the per-domain sums equal the per-instance flows of the infinite
 grid.  Cluster-level transfers remember the donor instance offset so
 the outflow claims can be audited instance-wise.
 
-While an engine runs, charges are integer numerators over one fixed
-denominator per engine, kept in a list by orbit index: every amount
-either engine moves is a whole number of those units.  The ledger turns
-them into Fractions once, when it is built.
+Charges are integer numerators over one fixed denominator per engine,
+kept in a list by orbit index: every amount either engine moves is a
+whole number of those units.  The ledger keeps that list, and its
+totals, conservation check and audit sum integers; a Fraction is built
+only for a number the ledger reports.
 """
 
 from __future__ import annotations
@@ -76,33 +77,44 @@ class ChargeLedger:
     code: PeriodicCode
     classification: Classification
     engine: str
-    final: dict
+    charge: list  # final numerators over denom, by orbit index
+    denom: int
     transfers: list
     notes: list = field(default_factory=list)
 
-    def cluster_total(self, cid: int) -> Fraction:
-        cl = self.classification.clusters[cid]
-        return sum((self.final[c] for c in cl.classes), Fraction(0))
+    @functools.cached_property
+    def final(self) -> dict:
+        """The charges as {domain vertex: Fraction}, one Fraction per value."""
+        fracs: dict = {}
+        out = {}
+        for v, n in zip(self.code.lattice.domain(), self.charge):
+            f = fracs.get(n)
+            if f is None:
+                f = fracs[n] = Fraction(n, self.denom)
+            out[v] = f
+        return out
 
-    def cluster_totals(self) -> dict:
-        return {cl.cid: self.cluster_total(cl.cid) for cl in self.classification.clusters}
+    def _units(self, cid: int) -> int:
+        charge = self.charge
+        return sum(charge[j] for j in self.classification.cluster_orbits(cid))
+
+    def cluster_total(self, cid: int) -> Fraction:
+        return Fraction(self._units(cid), self.denom)
 
     def conserved(self) -> bool:
-        return sum(self.final.values()) == self.code.size()
+        return sum(self.charge) == self.code.size() * self.denom
 
     def to_json(self) -> dict:
         lat = self.code.lattice
         return {
             "engine": self.engine,
             "lattice": {"p": lat.p, "q": lat.q, "shear": lat.shear},
-            "final": [
-                {"vertex": list(v), "charge": _frac(self.final[v])}
-                for v in sorted(self.final, key=lat.index)
-            ],
+            # domain order is orbit index order
+            "final": [{"vertex": list(v), "charge": _frac(f)} for v, f in self.final.items()],
             "transfers": [t.to_json() for t in self.transfers],
             "clusterTotals": [
-                {"cluster": cid, "total": _frac(total)}
-                for cid, total in sorted(self.cluster_totals().items())
+                {"cluster": cl.cid, "total": _frac(self.cluster_total(cl.cid))}
+                for cl in self.classification.clusters
             ],
             "conserved": self.conserved(),
             "notes": list(self.notes),
@@ -179,24 +191,11 @@ def _rule1(code: PeriodicCode, target: Fraction, denom: int) -> tuple[list[int],
     return charge, transfers
 
 
-def _final(lattice, charge: list[int], denom: int) -> dict:
-    """The charges as {domain vertex: Fraction}, one Fraction per value."""
-    fracs: dict = {}
-    out = {}
-    for v, n in zip(lattice.domain(), charge):
-        f = fracs.get(n)
-        if f is None:
-            f = fracs[n] = Fraction(n, denom)
-        out[v] = f
-    return out
-
-
 def run_prop1(code: PeriodicCode) -> ChargeLedger:
     """Edge-local engine: every non-code vertex ends at exactly 2/5."""
     _require_valid(code)
     charge, transfers = _rule1(code, PROP1_TARGET, PROP1_DENOM)
-    final = _final(code.lattice, charge, PROP1_DENOM)
-    return ChargeLedger(code, Classification(code), "prop1", final, transfers)
+    return ChargeLedger(code, Classification(code), "prop1", charge, PROP1_DENOM, transfers)
 
 
 def _donor_key(cls: Classification, inst: Instance):
@@ -204,11 +203,9 @@ def _donor_key(cls: Classification, inst: Instance):
 
 
 def _pay_cluster(cls, charge, transfers, rule, donor, recipient_cid, mode=None):
-    index = cls.code.lattice.index
-    debit = min(cls.clusters[donor.cid].classes)
-    credit = min(cls.clusters[recipient_cid].classes)
-    charge[index(debit)] -= _RULE_UNITS
-    charge[index(credit)] += _RULE_UNITS
+    # each cluster's charge sits on its least orbit, its least domain class
+    charge[min(cls.cluster_orbits(donor.cid))] -= _RULE_UNITS
+    charge[min(cls.cluster_orbits(recipient_cid))] += _RULE_UNITS
     transfers.append(Transfer(rule, donor, recipient_cid, RULE_AMOUNT, mode))
 
 
@@ -255,8 +252,7 @@ def run_main(code: PeriodicCode) -> ChargeLedger:
     for cl in cls.clusters:
         if cl.size == 3 and cls.needy.get(cl.cid):
             _rescue_needy(cls, cl, charge, transfers, notes)
-    final = _final(code.lattice, charge, MAIN_DENOM)
-    return ChargeLedger(code, cls, "main", final, transfers, notes)
+    return ChargeLedger(code, cls, "main", charge, MAIN_DENOM, transfers, notes)
 
 
 def _tally(ledger: ChargeLedger):
@@ -267,33 +263,37 @@ def _tally(ledger: ChargeLedger):
     (donor cid, recipient cid, donor da, donor db).
     """
     cls = ledger.classification
-    flows = {cl.cid: Fraction(0) for cl in cls.clusters if cls.is_open3(cl.cid)}
-    owner = {c: cid for cid in flows for c in cls.clusters[cid].classes}
+    index, denom = ledger.code.lattice.index, ledger.denom
+    flows = {cl.cid: 0 for cl in cls.clusters if cls.is_open3(cl.cid)}
+    owner = {j: cid for cid in flows for j in cls.cluster_orbits(cid)}
     spent: Counter = Counter()
     paid = set()
     for t in ledger.transfers:
         # rule 1 debits a vertex class, the rescue rules a cluster instance
-        cid = owner.get(t.src) if t.rule == 1 else t.src.cid
+        cid = owner.get(index(t.src)) if t.rule == 1 else t.src.cid
         if cid in flows:
-            flows[cid] += t.amount
+            # every amount is a whole number of units over denom
+            flows[cid] += t.amount.numerator * (denom // t.amount.denominator)
         if t.rule != 1:
             spent[cid] += 1
             paid.add((cid, t.dst, t.src.da, t.src.db))
-    return flows, spent, paid
+    return {cid: Fraction(n, denom) for cid, n in flows.items()}, spent, paid
 
 
 def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
     """Non-code vertices per vertex, code vertices per cluster total."""
+    # n / denom < bound, for a numerator n, read in integers
+    scale, floor = bound.denominator, bound.numerator * ledger.denom
     failures = []
-    for v, charge in ledger.final.items():
-        if v not in ledger.code.members and charge < bound:
-            failures.append((v, charge))
-    cls = ledger.classification
-    for cl in cls.clusters:
-        m = len(cl.classes)
-        total = ledger.cluster_total(cl.cid)
-        if total < bound * m:
-            failures.append((cl.cid, total))
+    inside = ledger.code.orbits()
+    vertex_at = ledger.code.lattice.vertex_at
+    for i, n in enumerate(ledger.charge):
+        if i not in inside and n * scale < floor:
+            failures.append((vertex_at(i), Fraction(n, ledger.denom)))
+    for cl in ledger.classification.clusters:
+        n = ledger._units(cl.cid)
+        if n * scale < floor * len(cl.classes):
+            failures.append((cl.cid, Fraction(n, ledger.denom)))
     outflows, _, _ = _tally(ledger)
     failures.sort(key=lambda sf: (isinstance(sf[0], int), sf[0]))
     return AuditReport(bound, failures, outflows)

@@ -10,10 +10,10 @@ which yields the 3-regular bipartite honeycomb with girth 6.  All
 distances are graph distances, and one kernel computes them: layers()
 runs a multi-source breadth-first search and returns the distance
 layers around a vertex set, up to an optional radius or until a stop
-predicate first holds.  ball, sphere, distance and set_distance are thin
-calls to it, and so are the cluster distances and the window engine's
-distance masks elsewhere in the package.  The scales in this package
-(radius <= 10) make that exact and cheap.
+predicate first holds.  ball, distance and set_distance are thin calls
+to it, and so are the cluster labels and the window engine's distance
+masks elsewhere in the package.  The scales in this package (radius <=
+10) make that exact and cheap.
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the
@@ -23,14 +23,15 @@ of the infinite grid is then one pair (orbit index, cell offset): the
 domain vertex of that index shifted by the offset.  The lattice's table,
 compiled once on first use, lists the three neighbours of each orbit in
 that form, so code that walks the grid of a periodic set follows integer
-lookups instead of canonicalising every vertex it meets.
+lookups instead of canonicalising every vertex it meets: layers() walks
+it when given the lattice's step in place of neighbors().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -65,10 +66,11 @@ def closed_neighborhood(v: Vertex) -> tuple[Vertex, ...]:
 
 
 def layers(
-    sources: Iterable[Vertex],
+    sources: Iterable[Hashable],
     radius: int | None = None,
-    stop: Callable[[Vertex], bool] | None = None,
-) -> list[list[Vertex]]:
+    stop: Callable[[Hashable], bool] | None = None,
+    step: Callable[[Hashable], Iterable[Hashable]] = neighbors,
+) -> list[list]:
     """Distance layers around a vertex set, by multi-source breadth-first search.
 
     out[d] lists the vertices at distance exactly d from the sources, in
@@ -77,6 +79,8 @@ def layers(
     first vertex w outside the sources with stop(w) true: the last layer
     is cut right after w, so len(out) - 1 is the distance to w.  Without
     a radius, stop must hit somewhere, since the grid is infinite.
+    step gives the neighbours of a vertex: neighbors() for Vertex
+    objects, or a lattice's step for (orbit index, da, db) nodes.
     """
     seen = set(sources)
     frontier = list(seen)
@@ -84,7 +88,7 @@ def layers(
     while frontier and (radius is None or len(out) <= radius):
         nxt = []
         for u in frontier:
-            for w in neighbors(u):
+            for w in step(u):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -99,11 +103,6 @@ def layers(
 def ball(v: Vertex, radius: int) -> set[Vertex]:
     """All vertices at distance <= radius from v."""
     return set().union(*layers((v,), radius))
-
-
-def sphere(v: Vertex, radius: int) -> set[Vertex]:
-    """All vertices at distance exactly radius from v."""
-    return set(layers((v,), radius)[-1])
 
 
 def _hit_distance(src: Iterable[Vertex], hit: Callable[[Vertex], bool], cap: int | None) -> int:
@@ -241,6 +240,12 @@ class PeriodLattice:
                 rows.append((entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1)))
                 rows.append((entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0)))
         return tuple(rows)
+
+    def step(self, node: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+        """The neighbours of a node (i, a, b), the vertex_at(i) shifted by
+        the cell offset (a, b), as nodes in the same form."""
+        i, a, b = node
+        return [(j, a + da, b + db) for j, da, db in self.table[i]]
 
     def translate(self, v: Vertex, k1: int, k2: int) -> Vertex:
         """v shifted by k1*(p, 0) + k2*(shear, q) in cell space."""

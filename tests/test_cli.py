@@ -146,6 +146,12 @@ def test_outflow_requires_code_vertex(capsys, witness):
     assert "not a code vertex" in err
 
 
+def test_shell_requires_code_vertex(capsys, witness):
+    code, _, err = run(capsys, "shell", "--code", witness, "--at", "0,0,1")
+    assert code == 2
+    assert "not a code vertex" in err
+
+
 def test_shell_bound_line(capsys, witness):
     code, out, _ = run(capsys, "shell", "--code", witness, "--at", "0,0,0")
     assert code == 0

@@ -13,7 +13,7 @@ import pytest
 
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, neighbors
 from hexident.code import PeriodicCode
-from hexident.cluster import Classification, Instance, UnsupportedKind, clusters
+from hexident.cluster import Classification, Instance, UnsupportedKind
 from hexident.optimize import enumerate_codes, random_code
 
 
@@ -65,8 +65,8 @@ def test_open_3cluster_labels():
     assert len(cls.clusters) == 1
     cl = cls.clusters[0]
     assert cl.size == 3
-    assert cl.center() == Vertex(1, 1, 0)
-    assert cl.leaves() == (Vertex(0, 1, 1), Vertex(1, 1, 1))
+    assert cls.instance_center(cl.anchored) == Vertex(1, 1, 0)
+    assert cls.instance_center(Instance(cl.cid, 7, -7)) == Vertex(8, -6, 0)
     assert cls.open_[cl.cid]
     assert not cls.crowded[cl.cid]
     assert cls.threatened[cl.cid]
@@ -149,34 +149,6 @@ def test_own_translates_are_instances():
     assert cls.instance_vertices(Instance(0, 0, 1)) == frozenset({Vertex(0, 1, 0)})
 
 
-def test_cluster_distance():
-    code = bare(4, 4, [(0, 0, 0), (2, 0, 0)])
-    cls = Classification(code)
-    a, b = cls.clusters
-    assert cls.cluster_distance(a, b) == 4
-    assert cls.cluster_distance(b, a) == 4
-    # nearest translate of a 1-cluster on a 4x4 lattice sits 8 away
-    assert cls.cluster_distance(a, a) == 8
-
-
-def test_cluster_distance_infinite():
-    # two disjoint infinite chains plus one singleton between them
-    code = bare(1, 6, [(0, 0, 0), (0, 0, 1), (0, 3, 0), (0, 3, 1), (0, 1, 1)])
-    cls = Classification(code)
-    chains = [cl for cl in cls.clusters if cl.infinite]
-    (single,) = [cl for cl in cls.clusters if cl.size == 1]
-    assert len(chains) == 2
-    assert cls.cluster_distance(chains[0], chains[1]) == 5
-    assert cls.cluster_distance(single, chains[0]) == 2
-    assert cls.cluster_distance(chains[0], single) == 2
-    assert cls.cluster_distance(chains[1], single) == 3
-    try:
-        cls.cluster_distance(chains[0], chains[0])
-        raise AssertionError("same infinite orbit accepted")
-    except ValueError:
-        pass
-
-
 def test_needy_support_requires_open3():
     code = bare(3, 3, [(0, 0, 0)])
     cls = Classification(code)
@@ -202,7 +174,8 @@ def test_paired_open_3clusters():
         assert cls.threatened[cl.cid]
         assert not cls.needy[cl.cid]
         assert cls.needy_support(cl) == 1
-    assert cls.cluster_distance(lo, hi) == 3
+    assert cls.reach(lo) == {hi.anchored: 3}
+    assert cls.reach(hi) == {lo.anchored: 3}
     assert cls.paired(lo, hi.anchored)
     assert cls.paired(hi, lo.anchored)
     assert cls.pairs() == [(Instance(lo.cid, 0, 0), Instance(hi.cid, 0, 0))]
@@ -217,64 +190,6 @@ def test_report_deterministic():
     r1 = json.dumps(Classification(code).report(), sort_keys=True)
     r2 = json.dumps(Classification(code).report(), sort_keys=True)
     assert r1 == r2
-
-
-def _reference_cluster_distance(cls, c1, c2):
-    """cluster_distance as first written: a grid search from a finite c1's
-    anchored instance, roles swapped when only c1 is infinite, and a search
-    over orbit classes (the quotient graph) when both are infinite."""
-    lat = cls.code.lattice
-    if c1.infinite and not c2.infinite:
-        c1, c2 = c2, c1
-    if c1.infinite:
-        seen = set(c1.classes)
-        frontier = list(c1.classes)
-        d = 0
-        while True:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for w in neighbors(x):
-                    cw = lat.canonical(w)
-                    if cw not in seen:
-                        if cw in c2.classes:
-                            return d
-                        seen.add(cw)
-                        nxt.append(cw)
-            frontier = nxt
-    seen = set(c1.vertices)
-    frontier = list(c1.vertices)
-    d = 0
-    while True:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for w in neighbors(x):
-                if w not in seen:
-                    if lat.canonical(w) in c2.classes:
-                        return d
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-
-
-def test_cluster_distance_matches_reference_on_random_codes():
-    rng = random.Random(20261018)
-    lattices = list(all_lattices(40))
-    infinite_pairs = 0
-    for _ in range(400):
-        lat = rng.choice(lattices)
-        members = frozenset(v for v in lat.domain() if rng.random() < 0.55)
-        if not members:
-            continue
-        cls = Classification(PeriodicCode(lat, members))
-        for c1 in cls.clusters:
-            for c2 in cls.clusters:
-                if c1.infinite and c1.cid == c2.cid:
-                    continue
-                infinite_pairs += c1.infinite and c2.infinite
-                assert cls.cluster_distance(c1, c2) == _reference_cluster_distance(cls, c1, c2)
-    assert infinite_pairs >= 50
 
 
 def _reference_clusters(code):
@@ -442,7 +357,3 @@ def test_random_codes_partition_and_maximality():
                 }
                 assert len(offs) == 1
             assert seen == set(code.members)
-
-
-def test_clusters_convenience():
-    assert len(clusters(bare(3, 3, [(0, 0, 0)]))) == 1

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, distance, neighbors, set_distance
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, distance, layers, neighbors, set_distance
 from hexident.code import PeriodicCode, full_code, tile
-from hexident.cluster import Classification, UnsupportedKind
+from hexident.cluster import Classification, Instance, UnsupportedKind
 from hexident.optimize import SearchSpec, enumerate_codes, minimum_code, random_code
 from hexident.discharge import (
     ChargeLedger,
@@ -46,7 +46,7 @@ def sub0(n=3):
 
 
 def cid_of(cls, v):
-    return cls.cluster_of_class(cls.code.lattice.canonical(Vertex(*v)))
+    return cls.instance_of(Vertex(*v)).cid
 
 
 def moved(charge):
@@ -377,9 +377,18 @@ def _ref_within(cls, around, radius, exclude):
     return sorted(found)
 
 
+def _ref_center(cl):
+    """The degree-2 vertex of a 3-cluster's anchored instance."""
+    return next(v for v in cl.vertices if sum(w in cl.vertices for w in neighbors(v)) == 2)
+
+
+def _anchored_leaves(cl):
+    return tuple(sorted(cl.vertices - {_ref_center(cl)}))
+
+
 def _ref_leaves(cls, inst):
     return tuple(
-        Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in cls.clusters[inst.cid].leaves()
+        Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in _anchored_leaves(cls.clusters[inst.cid])
     )
 
 
@@ -403,7 +412,7 @@ def _ref_nearby_from_open3(cls, c1, inst):
         return _ref_inst_within(cls, c1.vertices, inst, 3)
     if cls.is_open3(inst.cid):
         tv = cls.instance_vertices(inst)
-        return all(set_distance({leaf}, tv, cap=3) <= 3 for leaf in c1.leaves())
+        return all(set_distance({leaf}, tv, cap=3) <= 3 for leaf in _anchored_leaves(c1))
     return False
 
 
@@ -428,7 +437,7 @@ def _ref_paired(cls, c1, inst):
     if cls.crowded[c1.cid] or cls.crowded[inst.cid] or inst == c1.anchored:
         return False
     tv = cls.instance_vertices(inst)
-    if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in c1.leaves()):
+    if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in _anchored_leaves(c1)):
         return False
     return all(set_distance({lf}, c1.vertices, cap=3) <= 3 for lf in _ref_leaves(cls, inst))
 
@@ -505,8 +514,7 @@ def _unchecked_main(code):
     for cl in cls.clusters:
         if cl.size == 3 and cls.needy.get(cl.cid):
             _rescue_needy(cls, cl, charge, transfers, notes)
-    final = {v: Fraction(n, MAIN_DENOM) for v, n in zip(lat.domain(), charge)}
-    return ChargeLedger(code, cls, "main", final, transfers, notes)
+    return ChargeLedger(code, cls, "main", charge, MAIN_DENOM, transfers, notes)
 
 
 def _planted(rng):
@@ -603,6 +611,85 @@ def test_relation_matches_reference_searches(kind):
         assert seen[key] > 0, (key, dict(seen))
 
 
+# -- the shape labels and instance lookup against their Vertex versions ----
+#
+# crowded, open_, instance_of and instance_center once walked Vertex objects
+# and looked each one up through canonical(); those versions are kept here
+# as references.
+
+
+def _ref_crowded1(code, v):
+    return any(all(code.contains(x) for x in neighbors(u)) for u in neighbors(v))
+
+
+def _ref_open3(code, cl):
+    center = _ref_center(cl)
+    (w,) = [x for x in neighbors(center) if x not in cl.vertices]
+    return not any(code.contains(y) for y in neighbors(w) if y != center)
+
+
+def _ref_crowded3(code, cl):
+    for v in cl.vertices:
+        near = sum(1 for w in layers((v,), 2)[2] if w not in cl.vertices and code.contains(w))
+        if near >= 2:
+            return True
+    return False
+
+
+def _ref_instance_of(cls, w):
+    lat = cls.code.lattice
+    c = lat.canonical(w)
+    cl = next(cl for cl in cls.clusters if c in cl.classes)
+    if cl.infinite:
+        return Instance(cl.cid, 0, 0)
+    (u,) = [u for u in cl.vertices if lat.canonical(u) == c]
+    return Instance(cl.cid, w.a - u.a, w.b - u.b)
+
+
+@pytest.mark.parametrize("kind", ["fixtures", "planted", "arbitrary"])
+def test_labels_match_vertex_references(kind):
+    rng = random.Random(20261022)
+    seen = Counter()
+    for code in _relation_corpus(kind):
+        cls = Classification(code)
+        lat = code.lattice
+        for cl in cls.clusters:
+            if cl.size == 1:
+                (v,) = cl.vertices
+                assert cls.crowded[cl.cid] == _ref_crowded1(code, v)
+                seen["crowded1", cls.crowded[cl.cid]] += 1
+            elif cl.size == 3:
+                assert cls.open_[cl.cid] == _ref_open3(code, cl)
+                assert cls.crowded[cl.cid] == _ref_crowded3(code, cl)
+                c = _ref_center(cl)
+                da, db = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                assert cls.instance_center(Instance(cl.cid, da, db)) == Vertex(c.a + da, c.b + db, c.s)
+                seen["open3", cls.open_[cl.cid]] += 1
+                seen["crowded3", cls.crowded[cl.cid]] += 1
+                # a translate of the cluster within distance two
+                seen["self-near"] += any(
+                    w not in cl.vertices and lat.canonical(w) in cl.classes
+                    for v in cl.vertices
+                    for w in layers((v,), 2)[2]
+                )
+            seen["infinite"] += cl.infinite
+        for v in lat.domain():
+            w = lat.translate(v, rng.randrange(-3, 4), rng.randrange(-3, 4))
+            if v in code.members:
+                assert cls.instance_of(w) == _ref_instance_of(cls, w)
+            else:
+                with pytest.raises(ValueError, match="not a code vertex"):
+                    cls.instance_of(w)
+    floors = {
+        "fixtures": ("crowded1", "open3", "crowded3"),
+        "planted": ("crowded1", "open3", "crowded3"),
+        "arbitrary": ("crowded1", "open3", "crowded3", "self-near", "infinite"),
+    }[kind]
+    for key in floors:
+        both = seen[key] if key in ("self-near", "infinite") else seen[key, True] and seen[key, False]
+        assert both, (key, dict(seen))
+
+
 def _ref_rule1(code, target, final, transfers):
     """Rule 1 as the engines once ran it: Fractions in a {Vertex: Fraction}
     dict, donors found by canonical() lookups."""
@@ -623,7 +710,9 @@ def _ref_ledger(code, engine):
     """The ledger an engine builds, with every charge summed in Fractions:
     rule 1 from _ref_rule1, and each rescue payment the engine made
     debited from the donor's least class and credited to the
-    recipient's, as the Fraction-dict engine did."""
+    recipient's, as the Fraction-dict engine did.  Returns the engine's
+    ledger, the Fraction charges and a ledger holding them as numerators
+    over the engine's denominator."""
     led = engine(code)
     target = {"main": MAIN_TARGET, "prop1": PROP1_TARGET}[led.engine]
     final = {v: Fraction(1 if v in code.members else 0) for v in code.lattice.domain()}
@@ -635,7 +724,11 @@ def _ref_ledger(code, engine):
         final[min(clusters[t.src.cid].classes)] -= t.amount
         final[min(clusters[t.dst].classes)] += t.amount
         transfers.append(t)
-    return led, ChargeLedger(code, led.classification, led.engine, final, transfers, led.notes)
+    units = [f * led.denom for f in final.values()]
+    assert all(n.denominator == 1 for n in units)
+    charge = [int(n) for n in units]
+    ref = ChargeLedger(code, led.classification, led.engine, charge, led.denom, transfers, led.notes)
+    return led, final, ref
 
 
 def test_integer_charges_match_fraction_reference():
@@ -649,10 +742,26 @@ def test_integer_charges_match_fraction_reference():
     seen = Counter()
     for code in codes:
         for engine in (run_prop1, run_main):
-            led, ref = _ref_ledger(code, engine)
+            led, final, ref = _ref_ledger(code, engine)
             assert json.dumps(led.to_json()) == json.dumps(ref.to_json())
+            assert led.final == final
+            assert led.conserved() == (sum(final.values()) == code.size())
+            totals = {cl.cid: sum(final[c] for c in cl.classes) for cl in led.classification.clusters}
+            assert {cid: led.cluster_total(cid) for cid in totals} == totals
+            target = {"main": MAIN_TARGET, "prop1": PROP1_TARGET}[led.engine]
+            for bound in (target, Fraction(1, 2)):
+                want = [(v, f) for v, f in final.items() if v not in code.members and f < bound]
+                want += [
+                    (cl.cid, totals[cl.cid])
+                    for cl in led.classification.clusters
+                    if totals[cl.cid] < bound * len(cl.classes)
+                ]
+                assert audit(led, bound).failures == sorted(want, key=lambda sf: (isinstance(sf[0], int), sf[0]))
+                seen["failing", bound] += bool(want)
             seen.update((led.engine, t.rule, t.amount) for t in led.transfers)
     # every rule-1 amount of both engines, and rescue payments, occur
     for k in (1, 2, 3):
         assert seen["prop1", 1, PROP1_TARGET / k] and seen["main", 1, MAIN_TARGET / k]
     assert seen["main", 2, RULE_AMOUNT] and seen["main", 3, RULE_AMOUNT]
+    # the audits at 1/2 report failures
+    assert seen["failing", Fraction(1, 2)]

@@ -16,7 +16,6 @@ from hexident.hexgrid import (
     neighbors,
     set_distance,
     share_face,
-    sphere,
 )
 
 verts = st.builds(
@@ -51,9 +50,10 @@ def test_adjacency_is_symmetric_and_3_regular(v):
 
 @given(verts, st.integers(0, 5))
 def test_sphere_sizes_are_3k(v, k):
-    # |sphere(v, k)| = 3k for 1 <= k; balls are 1, 4, 10, 19, ...
+    # the sphere of radius k, the last distance layer, has 3k vertices
+    # for 1 <= k; balls are 1, 4, 10, 19, ...
     expect = 1 if k == 0 else 3 * k
-    assert len(sphere(v, k)) == expect
+    assert len(layers((v,), k)[-1]) == expect
 
 
 def test_ball_sizes():
@@ -245,3 +245,20 @@ def test_layers_stop_at_first_hit(sources, da, db, s):
     ref = _reference_layers(sources, len(out) - 1)
     assert target in ref[-1]
     assert [set(layer) for layer in out[:-1]] == ref[:-1]
+
+
+lattices = st.builds(
+    lambda p, q, k: PeriodLattice(p, q, k % p), st.integers(1, 5), st.integers(1, 5), st.integers(0, 4)
+)
+
+
+@given(lattices, st.lists(verts, min_size=1, max_size=3), st.integers(0, 4))
+def test_layers_walk_the_table_as_the_grid(lat, sources, radius):
+    # a node (j, a, b) is vertex_at(j) shifted by (a, b); small periods put
+    # one orbit at several distinct vertices of a layer
+    def node(v):
+        c = lat.vertex_at(lat.index(v))
+        return (lat.index(v), v.a - c.a, v.b - c.b)
+
+    got = layers([node(v) for v in sources], radius, step=lat.step)
+    assert [set(layer) for layer in got] == [{node(v) for v in layer} for layer in layers(sources, radius)]

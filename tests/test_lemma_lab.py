@@ -705,7 +705,7 @@ def _ref_uncrowded_exact(eng, anchor):
     anchor_set = set(anchor)
     for v in anchor:
         hits = 0
-        for w in hexgrid.sphere(eng.verts[v], 2):
+        for w in layers((eng.verts[v],), 2)[2]:
             j = eng.index.get(w)
             if j is None:
                 return None
@@ -747,7 +747,7 @@ def _ref_qual_exact(eng, comp):
         return False
     comp_set = set(comp)
     for v in comp:
-        for w in hexgrid.sphere(eng.verts[v], 2):
+        for w in layers((eng.verts[v],), 2)[2]:
             j = eng.index.get(w)
             if j is None:
                 return None
