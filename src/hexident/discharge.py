@@ -94,6 +94,32 @@ class ChargeLedger:
             out[v] = f
         return out
 
+    @functools.cached_property
+    def tally(self):
+        """One pass over the transfers, kept for the ledger's lifetime:
+        ledgers are not changed once their engine returns them.
+
+        Returns the outflow of every open 3-cluster, the number of rescue
+        payments each donor cluster makes, and the set of rescue payments as
+        (donor cid, recipient cid, donor da, donor db).
+        """
+        cls = self.classification
+        index, denom = self.code.lattice.index, self.denom
+        flows = {cl.cid: 0 for cl in cls.clusters if cls.is_open3(cl.cid)}
+        owner = {j: cid for cid in flows for j in cls.cluster_orbits(cid)}
+        spent: Counter = Counter()
+        paid = set()
+        for t in self.transfers:
+            # rule 1 debits a vertex class, the rescue rules a cluster instance
+            cid = owner.get(index(t.src)) if t.rule == 1 else t.src.cid
+            if cid in flows:
+                # every amount is a whole number of units over denom
+                flows[cid] += t.amount.numerator * (denom // t.amount.denominator)
+            if t.rule != 1:
+                spent[cid] += 1
+                paid.add((cid, t.dst, t.src.da, t.src.db))
+        return {cid: Fraction(n, denom) for cid, n in flows.items()}, spent, paid
+
     def _units(self, cid: int) -> int:
         charge = self.charge
         return sum(charge[j] for j in self.classification.cluster_orbits(cid))
@@ -255,31 +281,6 @@ def run_main(code: PeriodicCode) -> ChargeLedger:
     return ChargeLedger(code, cls, "main", charge, MAIN_DENOM, transfers, notes)
 
 
-def _tally(ledger: ChargeLedger):
-    """One pass over the transfers.
-
-    Returns the outflow of every open 3-cluster, the number of rescue
-    payments each donor cluster makes, and the set of rescue payments as
-    (donor cid, recipient cid, donor da, donor db).
-    """
-    cls = ledger.classification
-    index, denom = ledger.code.lattice.index, ledger.denom
-    flows = {cl.cid: 0 for cl in cls.clusters if cls.is_open3(cl.cid)}
-    owner = {j: cid for cid in flows for j in cls.cluster_orbits(cid)}
-    spent: Counter = Counter()
-    paid = set()
-    for t in ledger.transfers:
-        # rule 1 debits a vertex class, the rescue rules a cluster instance
-        cid = owner.get(index(t.src)) if t.rule == 1 else t.src.cid
-        if cid in flows:
-            # every amount is a whole number of units over denom
-            flows[cid] += t.amount.numerator * (denom // t.amount.denominator)
-        if t.rule != 1:
-            spent[cid] += 1
-            paid.add((cid, t.dst, t.src.da, t.src.db))
-    return {cid: Fraction(n, denom) for cid, n in flows.items()}, spent, paid
-
-
 def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
     """Non-code vertices per vertex, code vertices per cluster total."""
     # n / denom < bound, for a numerator n, read in integers
@@ -294,16 +295,15 @@ def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
         n = ledger._units(cl.cid)
         if n * scale < floor * len(cl.classes):
             failures.append((cl.cid, Fraction(n, ledger.denom)))
-    outflows, _, _ = _tally(ledger)
     failures.sort(key=lambda sf: (isinstance(sf[0], int), sf[0]))
-    return AuditReport(bound, failures, outflows)
+    return AuditReport(bound, failures, dict(ledger.tally[0]))
 
 
 def outflow(ledger: ChargeLedger, cluster: Cluster) -> Fraction:
     """Total charge one instance of an open 3-cluster sends away."""
     if not ledger.classification.is_open3(cluster.cid):
         raise UnsupportedKind("outflow is defined for open 3-clusters")
-    return _tally(ledger)[0][cluster.cid]
+    return ledger.tally[0][cluster.cid]
 
 
 def claims_report(ledger: ChargeLedger) -> dict:
@@ -316,7 +316,7 @@ def claims_report(ledger: ChargeLedger) -> dict:
     recipients when uncrowded, ten when crowded.
     """
     cls = ledger.classification
-    flows, spent, paid = _tally(ledger)
+    flows, spent, paid = ledger.tally
     cap52 = Fraction(52, 29)
     cap51 = Fraction(51, 29)
     entries = []

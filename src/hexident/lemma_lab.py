@@ -27,6 +27,7 @@ INCONCLUSIVE means neither: some window left the conclusion open.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -458,8 +459,8 @@ class _Engine:
                     self.clauses[t].append(clause)
 
         self._records: Dict[Tuple[int, ...], _Comp] = {}
-        self._comps: List[_Comp] = []
-        self._comps_mem: Optional[int] = None
+        # (IN mask, its components) along the current search path
+        self._comp_stack: List[Tuple[int, List[_Comp]]] = [(0, [])]
 
         self.dec = 0
         self.mem = 0
@@ -592,15 +593,37 @@ class _Engine:
         return comps
 
     def components(self) -> List[_Comp]:
-        """Decided-IN components of the universe, ordered by least member.
+        """Decided-IN components of the universe, ordered by least member:
+        the records split(self.mem) gives, in its order.
 
-        The list is reused while the IN mask is unchanged; callers must not
-        modify it.
+        A stack keeps (IN mask, components) for IN masks the search passed
+        through.  Components depend on the IN mask alone, so an entry whose
+        mask is a subset of the current one extends soundly, one new IN
+        vertex at a time: the components with the vertex on their frontier
+        merge with it into one record, and every other component stays as
+        it is.  Entries that are not subsets belong to undone branches and
+        are dropped.  Callers must not modify the list.
         """
-        if self._comps_mem != self.mem:
-            self._comps = self.split(self.mem)
-            self._comps_mem = self.mem
-        return self._comps
+        stack = self._comp_stack
+        mem = self.mem
+        while stack[-1][0] & ~mem:
+            stack.pop()
+        base, comps = stack[-1]
+        new = mem & ~base
+        if new:
+            for i in set_bits(new):
+                bit = 1 << i
+                members = [i]
+                keep = []
+                for c in comps:
+                    if c.rim & bit:
+                        members += c.members
+                    else:
+                        keep.append(c)
+                insort(keep, self.comp(tuple(sorted(members))), key=lambda c: c.members[0])
+                comps = keep
+            stack.append((mem, comps))
+        return comps
 
     def comp(self, members: Tuple[int, ...]) -> _Comp:
         """The record of a connected set of universe indices, given sorted;

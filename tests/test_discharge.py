@@ -560,6 +560,37 @@ def _relation_corpus(kind):
     return codes
 
 
+class _WalkCounter(list):
+    """A transfer list that counts the passes over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_ledger_tallies_its_transfers_once():
+    # audit, claims_report and outflow read one tally of the ledger
+    opened = 0
+    for code in _relation_corpus("fixtures"):
+        led = _unchecked_main(code)
+        led.transfers = _WalkCounter(led.transfers)
+        rep = audit(led, MAIN_TARGET)
+        claims = claims_report(led)
+        cls = led.classification
+        for cl in cls.clusters:
+            if cls.is_open3(cl.cid):
+                opened += 1
+                assert outflow(led, cl) == rep.outflows[cl.cid]
+        rep.outflows.clear()  # a report's outflows are its own
+        flows = {entry["cluster"]: Fraction(entry["outflow"]) for entry in claims["open3"]}
+        assert audit(led, Fraction(1, 2)).outflows == flows
+        assert claims_report(led) == claims
+        assert led.transfers.walks == 1
+    assert opened
+
+
 @pytest.mark.parametrize("kind", ["fixtures", "planted", "arbitrary"])
 def test_relation_matches_reference_searches(kind):
     seen = Counter()

@@ -239,49 +239,131 @@ def test_verdict_json_round_trips():
     assert back["result"] == VERIFIED
 
 
-# verdict, settled window assignments and engine search nodes of the default
-# windows and of the capped paired windows; a change to the engine or to a
-# certainty rule that moves any of them has changed what the checker does
+# verdict, settled window assignments, engine search nodes and _certify
+# calls of the default windows and of the capped paired windows; a change to
+# the engine or to a certainty rule that moves any of them has changed what
+# the checker does.  The certify calls catch a change to the certify
+# branching, such as another influence() order, that leaves the search
+# counts alone
 _PINNED_COUNTS = [
-    ("L1", None, None, VERIFIED, 5, 9),
-    ("L2", None, None, VERIFIED, 23793, 47585),
-    ("L3", None, None, VERIFIED, 511, 1021),
-    ("L4", "fig5", 500, INCONCLUSIVE, 242, 501),
-    ("L4", "fig6", 500, INCONCLUSIVE, 243, 501),
+    ("L1", None, None, VERIFIED, 5, 9, 0),
+    ("L2", None, None, VERIFIED, 23793, 47585, 1489),
+    ("L3", None, None, VERIFIED, 511, 1021, 54),
+    ("L4", "fig5", 500, INCONCLUSIVE, 242, 501, 710),
+    ("L4", "fig6", 500, INCONCLUSIVE, 243, 501, 0),
 ]
 
 
 def _counted_check(monkeypatch, lemma_id, **kwargs):
-    """The verdict, the settled count and the search nodes of every engine
-    search the check ran."""
+    """The verdict, the settled count, the search nodes of every engine
+    search the check ran, and the _certify calls, recursive ones included
+    (_certify recurses through the module name)."""
     searched = []
     search = ll._Engine.search
+    certify = ll._certify
+    certified = [0]
 
     def counted(eng, *args, **kw):
         before = eng.nodes
         search(eng, *args, **kw)
         searched.append(eng.nodes - before)
 
+    def counted_certify(*args, **kw):
+        certified[0] += 1
+        return certify(*args, **kw)
+
     monkeypatch.setattr(ll._Engine, "search", counted)
+    monkeypatch.setattr(ll, "_certify", counted_certify)
     v = check_lemma(lemma_id, **kwargs)
-    return v.result, v.configs_explored, searched
+    return v.result, v.configs_explored, searched, certified[0]
 
 
-@pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes", _PINNED_COUNTS)
-def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes):
+def _counts_id(row):
+    """A case's name: the window, its verdict and its search counts; the
+    certify count is checked but not part of the name."""
+    return "-".join(map(str, row[:-1]))
+
+
+@pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes,certified", _PINNED_COUNTS,
+                         ids=[_counts_id(row) for row in _PINNED_COUNTS])
+def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes,
+                               certified):
     got = _counted_check(monkeypatch, lemma_id, template=template, node_cap=node_cap)
-    assert got == (result, settled, [nodes])
+    assert got == (result, settled, [nodes], certified)
 
 
 # the same for ball windows around the default templates' pins
-@pytest.mark.parametrize("lemma_id,radius,result,settled,nodes", [
-    ("L1", 2, INCONCLUSIVE, 16, 31),
-    ("L3", 3, VERIFIED, 178, 355),
-    ("L4", 2, INCONCLUSIVE, 130, 259),
-])
-def test_radius_window_counters_pinned(monkeypatch, lemma_id, radius, result, settled, nodes):
+_RADIUS_COUNTS = [
+    ("L1", 2, INCONCLUSIVE, 16, 31, 176),
+    ("L3", 3, VERIFIED, 178, 355, 647),
+    ("L4", 2, INCONCLUSIVE, 130, 259, 9684),
+]
+
+
+@pytest.mark.parametrize("lemma_id,radius,result,settled,nodes,certified", _RADIUS_COUNTS,
+                         ids=[_counts_id(row) for row in _RADIUS_COUNTS])
+def test_radius_window_counters_pinned(monkeypatch, lemma_id, radius, result, settled, nodes, certified):
     got = _counted_check(monkeypatch, lemma_id, radius=radius, node_cap=3000)
-    assert got == (result, settled, [nodes])
+    assert got == (result, settled, [nodes], certified)
+
+
+def _assert_components_split(eng, got):
+    """components() gives the very records split gives for the IN mask,
+    in the same order."""
+    want = eng.split(eng.mem)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("lemma_id,window", [
+    ("L1", {}),
+    ("L2", {}),
+    ("L3", {}),
+    ("L4", {"template": "fig5"}),
+    ("L4", {"template": "fig6"}),
+    ("L3", {"radius": 3}),
+], ids=["L1", "L2", "L3", "L4-fig5", "L4-fig6", "L3-r3"])
+def test_components_match_split_along_the_search(monkeypatch, lemma_id, window):
+    # every call the window search and the certify search make, against a
+    # flood fill of the IN mask from scratch
+    components = ll._Engine.components
+    calls = [0]
+
+    def checked(eng):
+        got = components(eng)
+        _assert_components_split(eng, got)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(ll._Engine, "components", checked)
+    check_lemma(lemma_id, node_cap=500, **window)
+    assert calls[0] > 0
+
+
+def test_components_match_split_on_a_random_walk():
+    # assign, mark and undo in random order on a radius-3 window, so the
+    # walk also backs into states whose IN mask lacks some of the last
+    # stack entry's vertices, and merges components it had found apart
+    tpl = ll._radius_window("L4", 3)
+    eng = ll._Engine(tpl.region(), tpl.constraints())
+    rng = random.Random(1103)
+    marks = []
+    backed = merged = 0
+    comps = eng.components()
+    for _ in range(3000):
+        undecided = [i for i in range(eng.n) if not eng.dec >> i & 1]
+        if marks and (rng.random() < 0.2 or not undecided):
+            k = rng.randrange(len(marks)) if rng.random() < 0.3 else len(marks) - 1
+            eng.undo(marks[k])
+            del marks[k:]
+        else:
+            marks.append(eng.mark())
+            if not eng.assign(rng.choice(undecided), rng.random() < 0.4):
+                eng.undo(marks.pop())
+        backed += bool(eng._comp_stack[-1][0] & ~eng.mem)
+        last, comps = comps, eng.components()
+        merged += any(sum(1 for p in last if p.mask & c.mask) >= 2 for c in comps)
+        _assert_components_split(eng, comps)
+    assert backed and merged
 
 
 def test_radius_window_keeps_template_pins():
