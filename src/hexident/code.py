@@ -163,9 +163,14 @@ class PeriodicCode:
         )
         return cls(lattice, members)
 
-    def orbits(self) -> set[int]:
-        """The orbit indices of the members, as a new set on each call."""
-        return set(set_bits(self._bits))
+    def orbits(self) -> frozenset[int]:
+        """The orbit indices of the members, built on the first call and
+        shared by every later one."""
+        got = self.__dict__.get("_orbits")
+        if got is None:
+            got = frozenset(set_bits(self._bits))
+            object.__setattr__(self, "_orbits", got)
+        return got
 
     def contains(self, v: Vertex) -> bool:
         return self.lattice.canonical(v) in self.members

@@ -389,7 +389,8 @@ class _Engine:
 
     The engine is the only reader of a window's pins, each IN or OUT: it
     keeps them as the masks pinned_in and pinned_out, and assigns them
-    first.  Every other window vertex is enumerated.
+    first.  Every other window vertex is enumerated.  The clauses that the
+    pins and their propagation satisfy are then dropped (restrict_clauses).
     """
 
     def __init__(self, region: Iterable[Vertex], constraints: Optional[Mapping[Vertex, str]] = None):
@@ -464,7 +465,6 @@ class _Engine:
 
         self.dec = 0
         self.mem = 0
-        self.trail: List[int] = []
         self.nodes = 0
         self.aborted = False
 
@@ -476,60 +476,97 @@ class _Engine:
             raise RegionTooLarge(
                 "%d undecided vertices exceed the cap of %d" % (len(self.free_idx), ENUMERATION_CAP)
             )
+        self._free_mask = _mask(self.free_idx)
+        self._region_bits = tuple(1 << i for i in self.region_idx)
+        # a vertex not IN at the root may go OUT below it
+        self.restrict_clauses(~self.mem)
 
     # -- state -------------------------------------------------------------
 
-    def mark(self) -> int:
-        return len(self.trail)
+    def restrict_clauses(self, out_ok: int) -> None:
+        """Keep only the clauses that can still fail, or force IN a vertex
+        the search reads, when assignments below the root set OUT only
+        vertices of out_ok.
 
-    def undo(self, m: int) -> None:
-        for i in self.trail[m:]:
-            clear = ~(1 << i)
-            self.dec &= clear
-            self.mem &= clear
-        del self.trail[m:]
+        A clause with a vertex IN at the root is satisfied for good.  An
+        undecided vertex outside out_ok never goes OUT: a clause holding
+        two of them never fails or forces, and a clause holding one can
+        only force that one IN.  Such a clause is kept only when its vertex
+        neighbors a free window vertex, whose _pick score counts it.  So
+        every assign result, and every vertex state that _pick, snapshot or
+        a kept clause reads, stay as they are with the full lists.
+        """
+        stuck = ~out_ok & ~self.dec & ((1 << self.n) - 1)
+        read = _mask(i for i in set_bits(stuck) if self.nbmask[i] & self._free_mask)
 
-    def assign(self, root: int, val: bool) -> bool:
+        def keep(clause: int) -> bool:
+            if clause & self.mem:
+                return False
+            s = clause & stuck
+            return not s or (not s & (s - 1) and bool(s & read))
+
+        self.clauses = [[c for c in row if keep(c)] for row in self.clauses]
+
+    def mark(self) -> Tuple[int, int]:
+        """The current state, as a token for undo."""
+        return self.dec, self.mem
+
+    def undo(self, state: Tuple[int, int]) -> None:
+        """Restore a state that mark() returned."""
+        self.dec, self.mem = state
+
+    def assign(self, i: int, val: bool) -> bool:
         """Decide a vertex and propagate; False on contradiction.
 
-        On failure the partial changes stay on the trail; the caller rewinds
-        with mark()/undo().
+        Setting a vertex OUT forces IN the last undecided vertex of every
+        clause through it that has no IN vertex yet.  Forced vertices only
+        satisfy clauses, so nothing propagates past them.  On failure the
+        state is unchanged.
         """
-        todo = [(root, val)]
-        while todo:
-            i, v = todo.pop()
-            b = 1 << i
-            if self.dec & b:
-                if bool(self.mem & b) != v:
+        b = 1 << i
+        dec = self.dec
+        if dec & b:
+            return bool(self.mem & b) == val
+        dec |= b
+        if val:
+            self.dec = dec
+            self.mem |= b
+            return True
+        mem = self.mem
+        forced = 0
+        for clause in self.clauses[i]:
+            if not clause & mem:
+                und = clause & ~dec
+                if not und:
                     return False
-                continue
-            self.dec |= b
-            self.trail.append(i)
-            if v:
-                self.mem |= b  # satisfies every clause through i
-                continue
-            for clause in self.clauses[i]:
-                if clause & self.mem:
-                    continue
-                und = clause & ~self.dec
-                if und == 0:
-                    return False
-                if und & (und - 1) == 0:
-                    todo.append((und.bit_length() - 1, True))
+                if not und & (und - 1):
+                    forced |= und
+        self.dec = dec | forced
+        self.mem = mem | forced
         return True
 
     # -- search ------------------------------------------------------------
 
     def _pick(self) -> int:
+        """The first undecided window vertex, in region order, with the most
+        decided neighbors; -1 when every window vertex is decided."""
         best = -1
         best_score = -1
         dec = self.dec
-        for i in self.free_idx:
-            if not (dec >> i) & 1:
-                score = (self.nbmask[i] & dec).bit_count()
-                if score > best_score:
-                    best = i
-                    best_score = score
+        nbmask = self.nbmask
+        # region order is index order, so the undecided free vertices are
+        # visited lowest bit first
+        und = self._free_mask & ~dec
+        while und:
+            low = und & -und
+            i = low.bit_length() - 1
+            score = (nbmask[i] & dec).bit_count()
+            if score > best_score:
+                if score == 3:  # no vertex has more
+                    return i
+                best = i
+                best_score = score
+            und ^= low
         return best
 
     def search(self, on_leaf, try_prune=None, node_cap: Optional[int] = None) -> None:
@@ -540,39 +577,60 @@ class _Engine:
         feasible total assignment, where every window vertex is decided;
         try_prune(engine), if given, may return True at an internal node to
         settle the whole subtree.  Either callback may set engine.aborted,
-        and the search stops past node_cap nodes.
+        and the search stops past node_cap nodes.  The state is the root's
+        again on return.
         """
         self.aborted = False
         if not self.base_ok:
             return
-        self._search(on_leaf, try_prune, node_cap)
-
-    def _search(self, on_leaf, try_prune, node_cap) -> None:
-        if self.aborted:
-            return
-        self.nodes += 1
-        if node_cap is not None and self.nodes > node_cap:
-            self.aborted = True
-            return
-        if try_prune is not None and try_prune(self):
-            return
-        i = self._pick()
-        if i < 0:
+        root = self.mark()
+        for _ in self._walk(try_prune, node_cap):
             on_leaf(self)
-            return
-        for val in (True, False):
-            m = self.mark()
-            if self.assign(i, val):
-                self._search(on_leaf, try_prune, node_cap)
-            self.undo(m)
             if self.aborted:
+                break
+        self.undo(root)
+
+    def _walk(self, try_prune=None, node_cap: Optional[int] = None):
+        """The search as a generator: it stops at each feasible leaf with the
+        leaf's state in place.  The stack holds, for each IN branch on the
+        path, its vertex and the state before it, whose OUT branch is still
+        to try.  Ends without restoring the root state."""
+        stack: List[Tuple[int, Tuple[int, int]]] = []
+        while True:
+            # a node: count it, then descend into its first feasible child
+            self.nodes += 1
+            if node_cap is not None and self.nodes > node_cap:
+                self.aborted = True
+                return
+            settled = try_prune is not None and try_prune(self)
+            if self.aborted:
+                return
+            if not settled:
+                i = self._pick()
+                if i < 0:
+                    yield
+                else:
+                    state = self.dec, self.mem
+                    if self.assign(i, True):
+                        stack.append((i, state))
+                        continue
+                    if self.assign(i, False):
+                        continue
+            # backtrack to the deepest IN branch whose OUT branch is feasible
+            while stack:
+                i, state = stack.pop()
+                self.dec, self.mem = state
+                if self.assign(i, False):
+                    break
+            else:
                 return
 
     def snapshot(self) -> WindowConfig:
         """The window's assignment at a leaf."""
         mem = self.mem
-        # a list gives an exact-size tuple; enumerate holds every snapshot
-        return WindowConfig(self.region, tuple([IN if mem >> i & 1 else OUT for i in self.region_idx]))
+        # a list gives an exact-size tuple; a caller of enumerate may keep
+        # every snapshot
+        return WindowConfig(self.region, tuple([IN if mem & b else OUT for b in self._region_bits]))
 
     # -- decided components ------------------------------------------------
 
@@ -662,14 +720,17 @@ def enumerate(region, constraints=None):
     constraints maps vertices to pinned statuses, IN or OUT; keys outside
     the region act as halo literals (they constrain feasibility but are not
     part of the yielded configurations).  Every other region vertex is
-    enumerated.  Deterministic order.  Raises RegionTooLarge past the
-    enumeration cap, and ValueError on any other pinned status.
+    enumerated.  Deterministic order; each assignment is yielded as the
+    search reaches it.  Raises RegionTooLarge past the enumeration cap, and
+    ValueError on any other pinned status.
     """
     eng = _Engine(region, constraints)
-    out: List[WindowConfig] = []
-    eng.search(lambda e: out.append(e.snapshot()))
-    for cfg in out:
-        yield cfg
+    if not eng.base_ok:
+        return
+    # the walk sets only free window vertices OUT
+    eng.restrict_clauses(eng.pinned_out | eng._free_mask)
+    for _ in eng._walk():
+        yield eng.snapshot()
 
 
 # ---------------------------------------------------------------------------

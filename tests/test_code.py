@@ -226,6 +226,14 @@ def test_clauses_store_sparse_orbit_tuples():
         assert c.mask.bit_count() == len(c.orbits)
 
 
+def test_orbits_built_once_per_code():
+    c = thin_code(full_code(PeriodLattice(3, 2)), [Vertex(1, 0, 1)])
+    got = c.orbits()
+    assert got is c.orbits()
+    assert got == frozenset(c.lattice.index(v) for v in c.members)
+    assert c == PeriodicCode(c.lattice, c.members)
+
+
 def test_thin_code_removes_orbits():
     c = full_code(PeriodLattice(2, 2))
     c2 = thin_code(c, [Vertex(2, 2, 0)])  # canonicalizes to (0, 0, 0)

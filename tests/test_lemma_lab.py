@@ -7,6 +7,7 @@ The shell bounds were cross-checked against an exact cover search.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -114,6 +115,24 @@ def test_region_cap():
     assert len(big) > ll.ENUMERATION_CAP
     with pytest.raises(RegionTooLarge):
         list(ll.enumerate(big))
+
+
+def test_enumerate_streams(monkeypatch):
+    # the free radius-3 ball has 217771 assignments; the first one, all IN,
+    # is yielded at the walk's first leaf: the root, then one node per
+    # window vertex
+    engines = []
+
+    class Recording(ll._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(ll, "_Engine", Recording)
+    region = ball(V0, 3)
+    first = next(ll.enumerate(region))
+    assert first.status == (IN,) * len(region)
+    assert [e.nodes for e in engines] == [len(region) + 1]
 
 
 def test_pinned_vertices_do_not_count_against_cap():
@@ -594,13 +613,228 @@ def _engine_windows():
 
 def test_engine_clauses_match_neighbor_table_compile():
     # nbmask is within[1], and a full vertex's distance-two partners are
-    # the higher bits of within[2]; lists and order match the old compile
+    # the higher bits of within[2]; the lists are the old compile's, in its
+    # order, less the clauses that a vertex IN at the root satisfies
+    dropped = 0
     for region, pins in _engine_windows():
         eng = ll._Engine(region, pins)
         nb_full, clauses = _ref_clause_compile(eng)
         assert eng.nbmask == [_ref_mask(row + (i,)) for i, row in enumerate(_nb_in(eng))]
         assert eng.nb_full == nb_full
-        assert eng.clauses == clauses
+        assert eng.clauses == [[c for c in row if not c & eng.mem] for row in clauses]
+        dropped += sum(map(len, clauses)) - sum(map(len, eng.clauses))
+    assert dropped
+
+
+class _TrailEngine(ll._Engine):
+    """The engine as it was before the iterative walk: every decided vertex
+    goes on a trail, mark() is the trail length and undo() clears the
+    vertices past it, assign propagates from a work list, and the search
+    recurses.  Its clause lists are the full compile."""
+
+    def __init__(self, region, pins):
+        self.trail = []
+        super().__init__(region, pins)
+        self.clauses = _ref_clause_compile(self)[1]
+
+    def mark(self):
+        return len(self.trail)
+
+    def undo(self, m):
+        for i in self.trail[m:]:
+            clear = ~(1 << i)
+            self.dec &= clear
+            self.mem &= clear
+        del self.trail[m:]
+
+    def assign(self, root, val):
+        todo = [(root, val)]
+        while todo:
+            i, v = todo.pop()
+            b = 1 << i
+            if self.dec & b:
+                if bool(self.mem & b) != v:
+                    return False
+                continue
+            self.dec |= b
+            self.trail.append(i)
+            if v:
+                self.mem |= b
+                continue
+            for clause in self.clauses[i]:
+                if clause & self.mem:
+                    continue
+                und = clause & ~self.dec
+                if und == 0:
+                    return False
+                if und & (und - 1) == 0:
+                    todo.append((und.bit_length() - 1, True))
+        return True
+
+    def _pick(self):
+        best = -1
+        best_score = -1
+        for i in self.free_idx:
+            if not (self.dec >> i) & 1:
+                score = (self.nbmask[i] & self.dec).bit_count()
+                if score > best_score:
+                    best = i
+                    best_score = score
+        return best
+
+    def search(self, on_leaf, try_prune=None, node_cap=None):
+        self.aborted = False
+        if self.base_ok:
+            self._search(on_leaf, try_prune, node_cap)
+
+    def _search(self, on_leaf, try_prune, node_cap):
+        if self.aborted:
+            return
+        self.nodes += 1
+        if node_cap is not None and self.nodes > node_cap:
+            self.aborted = True
+            return
+        if try_prune is not None and try_prune(self):
+            return
+        i = self._pick()
+        if i < 0:
+            on_leaf(self)
+            return
+        for val in (True, False):
+            m = self.mark()
+            if self.assign(i, val):
+                self._search(on_leaf, try_prune, node_cap)
+            self.undo(m)
+            if self.aborted:
+                return
+
+
+def _searched(eng, prune=None, node_cap=None, abort_at=None):
+    """One search from a fresh node count: per leaf its snapshot and state,
+    then the nodes, whether it stopped early, and the state it left.
+    prune is the share of nodes below the root that a seeded pseudo-random
+    try_prune settles; abort_at the leaf at which on_leaf sets aborted."""
+    leaves = []
+
+    def on_leaf(e):
+        leaves.append((e.snapshot(), e.dec, e.mem))
+        if len(leaves) == abort_at:
+            e.aborted = True
+
+    rng = random.Random(1201)
+    eng.nodes = 0
+    eng.search(on_leaf, None if prune is None else lambda e: e.nodes > 1 and rng.random() < prune,
+               node_cap)
+    return leaves, eng.nodes, eng.aborted, (eng.dec, eng.mem)
+
+
+def test_walk_matches_recursive_search():
+    # leaf sequence, nodes, early stop and the state left behind, against
+    # the recursive search over the full clause lists
+    runs = [{"node_cap": cap, "prune": prune} for cap in (1, 17, 500) for prune in (None, 0.2)]
+    runs += [{"prune": 0.35}] + [{"abort_at": k} for k in (1, 7, 60)]
+    leaves = aborted = 0
+    for region, pins in _engine_windows():
+        eng, ref = ll._Engine(region, pins), _TrailEngine(region, pins)
+        root = (eng.dec, eng.mem)
+        assert (ref.dec, ref.mem) == root
+        for kw in runs:
+            got = _searched(eng, **kw)
+            assert got == _searched(ref, **kw), kw
+            assert got[3] == root
+            leaves += len(got[0])
+            aborted += got[2]
+    assert leaves and aborted
+
+
+def _walked(eng, steps, seed, choices):
+    """A seeded walk of assign, mark and undo over the given vertices: per
+    step the assign result (None for an undo) and the state after it."""
+    rng = random.Random(seed)
+    marks, trace = [], []
+    for _ in range(steps):
+        undecided = [i for i in choices if not eng.dec >> i & 1]
+        if marks and (rng.random() < 0.2 or not undecided):
+            k = rng.randrange(len(marks)) if rng.random() < 0.3 else len(marks) - 1
+            eng.undo(marks[k])
+            del marks[k:]
+            trace.append((None, eng.dec, eng.mem))
+        else:
+            marks.append(eng.mark())
+            ok = eng.assign(rng.choice(undecided), rng.random() < 0.4)
+            if not ok:
+                eng.undo(marks.pop())
+            trace.append((ok, eng.dec, eng.mem))
+    return trace
+
+
+def _full_lists(region, pins):
+    eng = ll._Engine(region, pins)
+    eng.clauses = _ref_clause_compile(eng)[1]
+    return eng
+
+
+def _for_enumerate(region, pins):
+    eng = ll._Engine(region, pins)
+    eng.restrict_clauses(eng.pinned_out | eng._free_mask)
+    return eng
+
+
+def _forced(trace):
+    """Assign steps that decided more than their own vertex."""
+    return sum(bool(ok) and (dec ^ last).bit_count() > 1
+               for (ok, dec, _), (_, last, _) in zip(trace[1:], trace))
+
+
+def test_root_pruned_lists_match_full_lists_on_a_random_walk():
+    # any undecided universe vertex may be set either way, as the certify
+    # search does; every result and every state agree
+    forced = 0
+    for k, (region, pins) in enumerate(_engine_windows()):
+        eng, full = ll._Engine(region, pins), _full_lists(region, pins)
+        if not eng.base_ok:
+            continue
+        choices = range(eng.n)
+        trace = _walked(eng, 400, k, choices)
+        assert trace == _walked(full, 400, k, choices)
+        forced += _forced(trace)
+    assert forced
+
+
+def test_enumerate_lists_match_full_lists_on_a_random_walk():
+    # only free window vertices are set, as the enumerate walk does; every
+    # result agrees, and so does every state that _pick and snapshot read
+    forced = 0
+    for k, (region, pins) in enumerate(_engine_windows()):
+        eng, full = _for_enumerate(region, pins), _full_lists(region, pins)
+        if not eng.base_ok or not eng.free_idx:
+            continue
+        read = _ref_mask(eng.region_idx)
+        for i in eng.free_idx:
+            read |= eng.nbmask[i]
+        choices = eng.free_idx
+        got, want = _walked(eng, 400, k, choices), _walked(full, 400, k, choices)
+        assert [(ok, dec & read, mem & read) for ok, dec, mem in got] == \
+            [(ok, dec & read, mem & read) for ok, dec, mem in want]
+        forced += _forced(got)
+    assert forced
+
+
+def test_enumerate_matches_full_lists():
+    # the first 3000 assignments of every window, in order, against the
+    # walk over the full clause lists; the enumerate lists are shorter
+    # than a lemma engine's on some windows
+    shorter = 0
+    for region, pins in _engine_windows():
+        full = _full_lists(region, pins)
+        want = []
+        if full.base_ok:
+            for _ in itertools.islice(full._walk(), 3000):
+                want.append(full.snapshot())
+        assert list(itertools.islice(ll.enumerate(region, pins), 3000)) == want
+        lists = _for_enumerate(region, pins).clauses
+        shorter += sum(map(len, lists)) < sum(map(len, ll._Engine(region, pins).clauses))
+    assert shorter
 
 
 def _lemma_windows():
