@@ -25,13 +25,14 @@ the clause list is therefore complete.  The same clauses drive the
 minimum-code search.
 
 The clauses of one domain vertex are a fixed pattern on the infinite
-grid, the same for every vertex of a sublattice up to translation.  The
-compile works the two patterns out once, as positions in the radius-3
-ball around (0, 0, s) reached by walking neighbor slots, and translates
-them to each domain vertex by the same walk through the lattice's
-neighbour table.  Each clause keeps its orbits as a short sorted tuple,
-so a clause list costs memory in proportion to its length, not to the
-square of the domain.
+grid, the same for every vertex of a sublattice up to translation.
+clause_pattern works the two patterns out once, as positions in the
+radius-3 ball around (0, 0, s) reached by walking neighbor slots, and
+the compile translates them to each domain vertex by the same walk
+through the lattice's neighbour table.  Each clause keeps its orbits as
+a short sorted tuple, so a clause list costs memory in proportion to its
+length, not to the square of the domain.  lemma_lab's window engine
+builds its distance masks and clauses from the same pattern.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from hexident.hexgrid import PeriodLattice, Vertex, closed_neighborhood, layers, neighbors, set_bits
 
@@ -75,39 +76,50 @@ class Violation:
         return f"{self.kind} {vs}"
 
 
-@functools.cache
-def _pattern(s: int):
-    """The clauses of the domain vertex u = (0, 0, s), on infinite vertices.
+class ClausePattern(NamedTuple):
+    """The clause geometry of the vertex u = (0, 0, s), on infinite vertices."""
 
-    Returns (walk, partners).  The radius-3 ball around u is numbered in
-    breadth-first order, u first and its neighbors next; walk[t - 1] is
-    (parent, slot): position t is neighbors() entry slot of position
-    parent.  partners lists, for each v within distance 2 of u in sorted
-    order, (position of v, v, mirrored, positions of N[u] ^ N[v]), where
-    mirrored says v is greater than its mirror through u, the same pair
-    translated by u - v.
+    ball: tuple[Vertex, ...]  # the radius-3 ball around u, breadth-first, u first
+    ends: tuple[int, ...]  # ends[r]: how many positions lie within distance r
+    walk: tuple[tuple[int, int], ...]  # per position t >= 1, (parent, slot)
+    partners: tuple[tuple[int, Vertex, bool, tuple[int, ...]], ...]
+
+
+@functools.cache
+def clause_pattern(s: int) -> ClausePattern:
+    """The clauses of u = (0, 0, s), for the compile and the window engine.
+
+    The radius-3 ball around u is numbered in breadth-first order, u first
+    and its neighbors next; walk[t - 1] is (parent, slot): position t is
+    neighbors() entry slot of position parent.  partners lists, for each v
+    within distance 2 of u in sorted order, (position of v, v, mirrored,
+    positions of N[u] ^ N[v]), where mirrored says v is greater than its
+    mirror through u, the same pair translated by u - v.
+    identifying_constraints walks the pattern through a lattice's
+    neighbour table; lemma_lab's window engine translates it by offsets.
     """
     u = Vertex(0, 0, s)
     pos = {u: 0}
     walk = []
-    near = []
-    for d, layer in enumerate(layers((u,), 2)):
-        if d:
-            near.extend(layer)
+    ends = [1]
+    for layer in layers((u,), 2):
         for w in layer:
             for slot, x in enumerate(neighbors(w)):
                 if x not in pos:
                     pos[x] = len(pos)
                     walk.append((pos[w], slot))
+        # a layer's new neighbours are exactly the next layer
+        ends.append(len(pos))
+    ball = tuple(pos)
     nu = set(closed_neighborhood(u))
     partners = []
-    for v in sorted(near):
+    for v in sorted(ball[1:ends[2]]):
         diff = nu ^ set(closed_neighborhood(v))
         # girth 6 leaves no twin vertices, so the difference is nonempty
         assert diff, "closed neighborhoods of distinct vertices differ"
         mirrored = v > Vertex(-v.a, -v.b, v.s)
         partners.append((pos[v], v, mirrored, tuple(sorted(pos[w] for w in diff))))
-    return tuple(walk), tuple(partners)
+    return ClausePattern(ball, tuple(ends), tuple(walk), tuple(partners))
 
 
 @functools.lru_cache(maxsize=256)
@@ -121,7 +133,7 @@ def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
     table = lattice.table
     empties, pairs = [], []
     for i, u in enumerate(lattice.domain()):
-        walk, partners = _pattern(u.s)
+        _, _, walk, partners = clause_pattern(u.s)
         at = [i]
         for parent, slot in walk:
             at.append(table[at[parent]][slot][0])

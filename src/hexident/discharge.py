@@ -104,14 +104,14 @@ class ChargeLedger:
         (donor cid, recipient cid, donor da, donor db).
         """
         cls = self.classification
-        index, denom = self.code.lattice.index, self.denom
+        vertex_at, denom = self.code.lattice.vertex_at, self.denom
         flows = {cl.cid: 0 for cl in cls.clusters if cls.is_open3(cl.cid)}
-        owner = {j: cid for cid in flows for j in cls.cluster_orbits(cid)}
+        owner = {vertex_at(j): cid for cid in flows for j in cls.cluster_orbits(cid)}
         spent: Counter = Counter()
         paid = set()
         for t in self.transfers:
-            # rule 1 debits a vertex class, the rescue rules a cluster instance
-            cid = owner.get(index(t.src)) if t.rule == 1 else t.src.cid
+            # rule 1 debits a domain vertex, the rescue rules a cluster instance
+            cid = owner.get(t.src) if t.rule == 1 else t.src.cid
             if cid in flows:
                 # every amount is a whole number of units over denom
                 flows[cid] += t.amount.numerator * (denom // t.amount.denominator)

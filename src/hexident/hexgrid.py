@@ -11,9 +11,9 @@ distances are graph distances, and one kernel computes them: layers()
 runs a multi-source breadth-first search and returns the distance
 layers around a vertex set, up to an optional radius or until a stop
 predicate first holds.  ball, distance and set_distance are thin calls
-to it, and so are the cluster labels and the window engine's distance
-masks elsewhere in the package.  The scales in this package (radius <=
-10) make that exact and cheap.
+to it, and so are the cluster labels and code.clause_pattern, whose
+radius-3 ball gives the window engine its distance masks.  The scales
+in this package (radius <= 10) make that exact and cheap.
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the

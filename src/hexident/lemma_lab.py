@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
+from .code import clause_pattern
 from .hexgrid import Vertex, layers, neighbors, set_bits
 
 IN = "IN"
@@ -374,18 +375,13 @@ class _Engine:
     """Bitmask DFS over the IN/OUT assignments of a window.
 
     The universe extends the window by GROWTH_MARGIN rings so that growth of
-    decided clusters just past the window can be reasoned about.  A
-    constraint whose support leaves the universe can never be falsified by
-    any completion, so it is dropped; that keeps the enumeration an
-    over-approximation of restrictions of identifying codes.
-
-    Feasibility rules: no vertex may end with an all-decided, all-OUT closed
-    neighborhood (its identifier would be empty), and no two vertices at
-    distance at most two may have the symmetric difference of their closed
-    neighborhoods entirely decided OUT (their identifiers would coincide).
-    Pairs farther apart are always distinguished, so these rules are
-    complete for windows that are balls of an identifying code.  Both rules
-    propagate: a last undecided slot with no IN elsewhere is forced IN.
+    decided clusters just past the window can be reasoned about.  The
+    feasibility rules are the clauses of code.clause_pattern, which
+    identifying_constraints compiles for periodic codes, translated to every
+    universe vertex u: N[u] when it lies in the universe, and N[u] ^ N[v]
+    when N[u] and N[v] both do.  Dropping the others keeps the enumeration
+    an over-approximation of restrictions of identifying codes.  A clause
+    propagates: its last undecided vertex, with no IN elsewhere, is forced IN.
 
     The engine is the only reader of a window's pins, each IN or OUT: it
     keeps them as the masks pinned_in and pinned_out, and assigns them
@@ -425,36 +421,30 @@ class _Engine:
         # grid distances as masks: within[r][i] holds the universe vertices
         # at distance <= r from vertex i, and ring2[i] those at exactly two.
         # A shortest path may leave the universe, so the balls come from the
-        # grid: distance layers around (0, 0, s) translate to every vertex.
-        shells = [layers((Vertex(0, 0, s),), REACH) for s in (0, 1)]
-        self.within: Tuple[List[int], ...] = tuple([] for _ in range(REACH + 1))
-        for a, b, s in self.verts:
-            m = 0
-            for masks, layer in zip(self.within, shells[s]):
-                for w in layer:
-                    j = self.index.get((a + w.a, b + w.b, w.s))
-                    if j is not None:
-                        m |= 1 << j
-                masks.append(m)
+        # grid: at[i] is the clause pattern's radius-REACH ball translated to
+        # vertex i, a universe index or None per position.
+        patterns = [clause_pattern(s) for s in (0, 1)]
+        at = [[self.index.get((a + w.a, b + w.b, w.s)) for w in patterns[s].ball] for a, b, s in self.verts]
+        bits = [[0 if j is None else 1 << j for j in row] for row in at]
+        # both sublattices have the same layer ends
+        self.within: Tuple[List[int], ...] = tuple(
+            [sum(row[:end]) for row in bits] for end in patterns[0].ends[:REACH + 1])
         self.ring2: List[int] = [m2 & ~m1 for m1, m2 in zip(self.within[1], self.within[2])]
         # the closed in-universe neighborhoods; a full vertex has all three
         # neighbors in the universe
         self.nbmask: List[int] = self.within[1]
         self.nb_full: List[bool] = [m.bit_count() == 4 for m in self.nbmask]
 
-        # both feasibility rules as positive clauses (some vertex of the
-        # mask is IN), listed under each of their vertices: the closed
-        # neighborhood of a vertex, and the symmetric difference of two
-        # closed neighborhoods at distance <= 2, wherever those lie inside
-        # the universe.  A full vertex's distance-two partners are all in
-        # the universe, so they are the higher bits of within[2].
+        # the kept clauses (some vertex IN) under each of their vertices,
+        # each pair once, from its lesser vertex
+        upper = [[t for t, v, _, _ in p.partners if v > p.ball[0]] for p in patterns]
         self.clauses: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
+        for i, row in zip(range(n), at):
             if not self.nb_full[i]:
                 continue
             own = [self.nbmask[i]]
-            own += [self.nbmask[i] ^ self.nbmask[j]
-                    for j in set_bits(self.within[2][i] >> i + 1 << i + 1) if self.nb_full[j]]
+            own += [self.nbmask[i] ^ self.nbmask[row[t]]
+                    for t in upper[self.verts[i].s] if row[t] is not None and self.nb_full[row[t]]]
             for clause in own:
                 for t in set_bits(clause):
                     self.clauses[t].append(clause)
@@ -520,8 +510,10 @@ class _Engine:
 
         Setting a vertex OUT forces IN the last undecided vertex of every
         clause through it that has no IN vertex yet.  Forced vertices only
-        satisfy clauses, so nothing propagates past them.  On failure the
-        state is unchanged.
+        satisfy clauses, so nothing propagates past them.  Only loading the
+        pins at the root can fail, and leaves the state unchanged: a clause
+        starts with four or more vertices, and in a propagated state one with
+        no IN vertex keeps two undecided, so deciding one more cannot fail.
         """
         b = 1 << i
         dec = self.dec
@@ -597,7 +589,7 @@ class _Engine:
         to try.  Ends without restoring the root state."""
         stack: List[Tuple[int, Tuple[int, int]]] = []
         while True:
-            # a node: count it, then descend into its first feasible child
+            # a node: count it, then descend into its IN child (see assign)
             self.nodes += 1
             if node_cap is not None and self.nodes > node_cap:
                 self.aborted = True
@@ -610,20 +602,15 @@ class _Engine:
                 if i < 0:
                     yield
                 else:
-                    state = self.dec, self.mem
-                    if self.assign(i, True):
-                        stack.append((i, state))
-                        continue
-                    if self.assign(i, False):
-                        continue
-            # backtrack to the deepest IN branch whose OUT branch is feasible
-            while stack:
-                i, state = stack.pop()
-                self.dec, self.mem = state
-                if self.assign(i, False):
-                    break
-            else:
+                    stack.append((i, (self.dec, self.mem)))
+                    self.assign(i, True)
+                    continue
+            # backtrack to the OUT branch of the deepest IN branch
+            if not stack:
                 return
+            i, state = stack.pop()
+            self.dec, self.mem = state
+            self.assign(i, False)
 
     def snapshot(self) -> WindowConfig:
         """The window's assignment at a leaf."""
@@ -945,7 +932,7 @@ def _certify(state: _LemmaState, depth: int = _CERTIFY_DEPTH,
              budget: Optional[List[int]] = None) -> bool:
     """True when every completion of the current assignment satisfies the
     lemma (hypothesis fails or conclusion holds).  Branches undecided
-    influence vertices; an infeasible branch is vacuously fine."""
+    influence vertices, each branch feasible (see _Engine.assign)."""
     eng = state.eng
     if budget is None:
         budget = [_CERTIFY_NODES]
@@ -964,8 +951,8 @@ def _certify(state: _LemmaState, depth: int = _CERTIFY_DEPTH,
     f = cands[0]
     for val in (True, False):
         m = eng.mark()
-        ok = eng.assign(f, val)
-        sub = _certify(state, depth - 1, budget) if ok else True
+        eng.assign(f, val)
+        sub = _certify(state, depth - 1, budget)
         eng.undo(m)
         if not sub:
             return False

@@ -796,3 +796,30 @@ def test_integer_charges_match_fraction_reference():
     assert seen["main", 2, RULE_AMOUNT] and seen["main", 3, RULE_AMOUNT]
     # the audits at 1/2 report failures
     assert seen["failing", Fraction(1, 2)]
+
+
+def test_tally_looks_up_no_orbit_index(monkeypatch):
+    # rule-1 donors are domain vertices, so the tally keys the open
+    # clusters' classes by vertex and never canonicalises a donor
+    rng = random.Random(20261019)
+    lattices = list(all_lattices(28))
+    codes = [random_code(rng.choice(lattices), seed=rng.randrange(2**32)) for _ in range(40)]
+    codes += [frozen(RULE2_CODE), frozen(RULE3_CODE), sub0(), tile(sub0(), 2, 2)]
+    ledgers = []
+    for code in codes:
+        for engine in (run_prop1, run_main):
+            led, _, ref = _ref_ledger(code, engine)
+            led.__dict__.pop("tally", None)
+            ledgers.append((led, ref.tally))
+
+    def no_index(lattice, v):
+        raise AssertionError("tally canonicalised a vertex")
+
+    monkeypatch.setattr(PeriodLattice, "index", no_index)
+    flowing = 0
+    for led, want in ledgers:
+        assert led.tally == want
+        cls = led.classification
+        assert want[0] == {cl.cid: _ref_outflow(led, cl) for cl in cls.clusters if cls.is_open3(cl.cid)}
+        flowing += any(want[0].values())
+    assert flowing

@@ -16,6 +16,7 @@ from hexident.hexgrid import Vertex, layers, neighbors
 from hexident import hexgrid
 from hexident.cluster import Cluster, UnsupportedKind
 from hexident import lemma_lab as ll
+from hexident.code import identifying_constraints
 from hexident.optimize import random_code
 from hexident.lemma_lab import (
     COUNTEREXAMPLE,
@@ -626,6 +627,36 @@ def test_engine_clauses_match_neighbor_table_compile():
     assert dropped
 
 
+def test_engine_clauses_are_the_embedded_periodic_clauses(monkeypatch):
+    # on a lattice that no universe wraps, each engine clause is a periodic
+    # clause of identifying_constraints read through the embedding, one to
+    # one with those whose N[u] and N[v] both lie in the universe
+    monkeypatch.setattr(ll._Engine, "restrict_clauses", lambda eng, out_ok: None)
+    lat = hexgrid.PeriodLattice(24, 24)
+    windows = [(tpl.region(), tpl.constraints()) for tpl in TEMPLATES.values()]
+    windows += [(ball(V0, 1), {}), (ball(V0, 2), {V0: IN})]
+    for region, pins in windows:
+        eng = ll._Engine(region, pins)
+        at = {lat.index(v): v for v in eng.verts}
+        assert len(at) == eng.n
+        got = {tuple(sorted(lat.index(eng.verts[i]) for i in hexgrid.set_bits(clause)))
+               for row in eng.clauses for clause in row}
+        want = []
+        for c in identifying_constraints(lat):
+            u = at.get(lat.index(c.u))
+            if u is None:
+                continue
+            shift = u.a - c.u.a, u.b - c.u.b
+            support = set(hexgrid.closed_neighborhood(u))
+            if c.v is not None:
+                v = Vertex(c.v.a + shift[0], c.v.b + shift[1], c.v.s)
+                support.update(hexgrid.closed_neighborhood(v))
+            if support <= eng.index.keys():
+                want.append(c.orbits)
+        assert len(want) == len(set(want)) == len(got)
+        assert got == set(want)
+
+
 class _TrailEngine(ll._Engine):
     """The engine as it was before the iterative walk: every decided vertex
     goes on a trail, mark() is the trail length and undo() clears the
@@ -745,6 +776,46 @@ def test_walk_matches_recursive_search():
             leaves += len(got[0])
             aborted += got[2]
     assert leaves and aborted
+
+
+def _assigns_below_root(monkeypatch):
+    """Every assign result of an engine whose constructor has returned:
+    the search and certify assigns, without the pin loading."""
+    init, assign = ll._Engine.__init__, ll._Engine.assign
+    results = []
+
+    def built(eng, *args, **kw):
+        init(eng, *args, **kw)
+        eng.below_root = True
+
+    def recorded(eng, i, val):
+        ok = assign(eng, i, val)
+        if eng.__dict__.get("below_root"):
+            results.append(ok)
+        return ok
+
+    monkeypatch.setattr(ll._Engine, "__init__", built)
+    monkeypatch.setattr(ll._Engine, "assign", recorded)
+    return results
+
+
+def test_assign_below_the_root_never_fails_on_engine_windows(monkeypatch):
+    # the walk and _certify keep no failed-branch path, so no search may
+    # reach one: the capped search and enumerate of every window
+    results = _assigns_below_root(monkeypatch)
+    for region, pins in _engine_windows():
+        ll._Engine(region, pins).search(lambda e: None, node_cap=3000)
+        for _ in itertools.islice(ll.enumerate(region, pins), 3000):
+            pass
+    assert len(results) > 10000 and all(results)
+
+
+@pytest.mark.parametrize("lemma_id,template,node_cap", [row[:3] for row in _PINNED_COUNTS],
+                         ids=[_counts_id(row) for row in _PINNED_COUNTS])
+def test_assign_below_the_root_never_fails_on_lemma_checks(monkeypatch, lemma_id, template, node_cap):
+    results = _assigns_below_root(monkeypatch)
+    check_lemma(lemma_id, template=template, node_cap=node_cap)
+    assert results and all(results)
 
 
 def _walked(eng, steps, seed, choices):
