@@ -220,8 +220,7 @@ def _cmd_search(args) -> int:
         return 1
     witness_text = result.witness.to_text()
     if args.witness_out:
-        with open(args.witness_out, "w") as fh:
-            fh.write(witness_text if witness_text.endswith("\n") else witness_text + "\n")
+        result.witness.save(args.witness_out)
     density = _frac(result.witness.density(), args.approx)
     if args.format == "json":
         _emit(json.dumps({

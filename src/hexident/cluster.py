@@ -33,19 +33,19 @@ Labels follow the taxonomy used by the discharging engine:
 
 Every one of these labels, and every rescue rule and claim of the
 discharging engine, reads one relation: reach(cl), the instances within
-distance three of a finite cluster with their distances, from one search
-per cluster.  nearby(cl) is the only definition of nearby and filters
-reach.  A query in the other direction (is cl nearby from an instance
-X + d of another finite cluster X?) reads nearby(X) with cl seen from
-X's frame, as the instance of cl at offset -d.
+distance three of a finite cluster with their distances.  nearby(cl) is
+the only definition of nearby and filters reach.  A query in the other
+direction (is cl nearby from an instance X + d of another finite
+cluster X?) reads nearby(X) with cl seen from X's frame, as the
+instance of cl at offset -d.
 
-The labels and reach walk the lattice's neighbour table, not Vertex
-objects: hexgrid.layers runs over nodes (j, a, b), the domain vertex of
-orbit j shifted by the cell offset (a, b).  One map sends each code
-orbit j to (cid, da, db), its cluster and the offset at which the
-cluster's anchored instance holds it, so a code node (j, a, b) lies in
-the instance at offset (a - da, b - db), the anchored one exactly when
-the map gives (cid, a, b).
+The labels and reach read the radius-3 ball of code.clause_pattern
+around each cluster vertex, walked through the lattice's neighbour
+table as nodes (j, a, b): the domain vertex of orbit j shifted by the
+cell offset (a, b).  One map sends each code orbit j to (cid, da, db),
+its cluster and the offset at which the cluster's anchored instance
+holds it, so a code node (j, a, b) lies in the instance at offset
+(a - da, b - db), the anchored one exactly when the map gives (cid, a, b).
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from hexident.hexgrid import Vertex, layers
-from hexident.code import PeriodicCode
+from hexident.hexgrid import Vertex
+from hexident.code import PeriodicCode, clause_pattern
 
 
 class UnsupportedKind(ValueError):
@@ -192,6 +192,16 @@ class Classification:
             return cluster.vertices
         return frozenset(Vertex(v.a + inst.da, v.b + inst.db, v.s) for v in cluster.vertices)
 
+    def _ball(self, node: tuple[int, int, int]) -> list[list[tuple[int, int, int]]]:
+        """The radius-3 ball around a node (j, a, b) by distance, as layers()
+        gives it: clause_pattern(j & 1) walked through the lattice's table."""
+        pattern, table, at = clause_pattern(node[0] & 1), self.code.lattice.table, [node]
+        for parent, slot in pattern.walk:
+            j, a, b = at[parent]
+            k, da, db = table[j][slot]
+            at.append((k, a + da, b + db))
+        return [at[lo:hi] for lo, hi in zip((0,) + pattern.ends, pattern.ends)]
+
     def _center_node(self, inst: Instance) -> tuple[int, int, int]:
         j = self._center(inst.cid)
         _, a, b = self._place[j]
@@ -242,10 +252,10 @@ class Classification:
         return self._code_degree(w) == 1
 
     def _crowded3(self, cl: Cluster) -> bool:
-        place, step = self._place, self.code.lattice.step
+        place = self._place
         for node in self._nodes(cl.cid):
             near = 0
-            for j, a, b in layers((node,), 2, step=step)[2]:
+            for j, a, b in self._ball(node)[2]:
                 # a code vertex counts unless it belongs to this instance
                 near += j in place and place[j] != (cl.cid, a, b)
             if near >= 2:
@@ -271,18 +281,19 @@ class Classification:
         """Every other instance within distance three of a finite cluster.
 
         Maps each instance to its distance from cl's anchored instance,
-        from one breadth-first search.  A code vertex outside the cluster
-        is never adjacent to it, so every distance is two or three.
+        the least over the members' balls.  A code vertex outside the
+        cluster is never adjacent to it, so every distance is two or three.
         """
         got = self._reach.get(cl.cid)
         if got is None:
             got = {}
             place = self._place
-            around = layers(self._nodes(cl.cid), 3, step=self.code.lattice.step)
-            for d, layer in enumerate(around[2:], 2):
-                for j, a, b in layer:
-                    if j in place:
-                        got.setdefault(self._instance(j, a, b), d)
+            for ball in map(self._ball, self._nodes(cl.cid)):
+                for d in (2, 3):
+                    for j, a, b in ball[d]:
+                        # the members' balls also meet cl's own instance
+                        if j in place and (inst := self._instance(j, a, b)) != cl.anchored:
+                            got[inst] = min(d, got.get(inst, d))
             self._reach[cl.cid] = got
         return got
 
@@ -291,14 +302,12 @@ class Classification:
         the module docstring defines it; a subset of reach(cl)."""
         got = self._nearby.get(cl.cid)
         if got is None:
-            step = self.code.lattice.step
             if cl.size == 1:
-                near = set().union(*layers(self._nodes(cl.cid), 3, step=step))
+                near = set().union(*self._ball(self._nodes(cl.cid)[0]))
                 hits = lambda i: self._center_node(i) in near
             elif self.is_open3(cl.cid):
                 c = self._center(cl.cid)
-                leaves = [n for n in self._nodes(cl.cid) if n[0] != c]
-                balls = [set().union(*layers((n,), 3, step=step)) for n in leaves]
+                balls = [set().union(*self._ball(n)) for n in self._nodes(cl.cid) if n[0] != c]
                 hits = lambda i: all(not b.isdisjoint(self._nodes(*i)) for b in balls)
             else:
                 raise UnsupportedKind("nearby is defined from 1-clusters and open 3-clusters")

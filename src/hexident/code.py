@@ -27,12 +27,12 @@ minimum-code search.
 The clauses of one domain vertex are a fixed pattern on the infinite
 grid, the same for every vertex of a sublattice up to translation.
 clause_pattern works the two patterns out once, as positions in the
-radius-3 ball around (0, 0, s) reached by walking neighbor slots, and
-the compile translates them to each domain vertex by the same walk
-through the lattice's neighbour table.  Each clause keeps its orbits as
-a short sorted tuple, so a clause list costs memory in proportion to its
-length, not to the square of the domain.  lemma_lab's window engine
-builds its distance masks and clauses from the same pattern.
+radius-3 ball around (0, 0, s) reached by walking neighbor slots; the
+compile and the cluster labels translate them to a vertex by the same
+walk through the lattice's neighbour table.  Each clause keeps its
+orbits as a short sorted tuple, so a clause list costs memory in
+proportion to its length, not to the square of the domain.  The window
+engine of lemma_lab builds its distance masks and clauses from it too.
 """
 
 from __future__ import annotations
@@ -159,28 +159,33 @@ class PeriodicCode:
     def __post_init__(self):
         canon = frozenset(self.lattice.canonical(v) for v in self.members)
         object.__setattr__(self, "members", canon)
-        bits = 0
-        for v in canon:
-            bits |= 1 << self.lattice.index(v)
-        object.__setattr__(self, "_bits", bits)
 
     @property
     def bits(self) -> int:
-        return self._bits
+        """The members as a bitmask over orbit indices, built on first use:
+        a huge domain costs nothing before a caller checks its size."""
+        got = self.__dict__.get("_bits")
+        if got is None:
+            got = 0
+            for v in self.members:
+                got |= 1 << self.lattice.index(v)
+            object.__setattr__(self, "_bits", got)
+        return got
 
     @classmethod
     def from_bits(cls, lattice: PeriodLattice, bits: int) -> "PeriodicCode":
-        members = frozenset(
-            lattice.vertex_at(i) for i in range(lattice.domain_size) if bits >> i & 1
-        )
-        return cls(lattice, members)
+        """The code of a mask; bits at or above the domain size are ignored."""
+        bits &= (1 << lattice.domain_size) - 1
+        code = cls(lattice, frozenset(map(lattice.vertex_at, set_bits(bits))))
+        object.__setattr__(code, "_bits", bits)
+        return code
 
     def orbits(self) -> frozenset[int]:
         """The orbit indices of the members, built on the first call and
         shared by every later one."""
         got = self.__dict__.get("_orbits")
         if got is None:
-            got = frozenset(set_bits(self._bits))
+            got = frozenset(set_bits(self.bits))
             object.__setattr__(self, "_orbits", got)
         return got
 

@@ -11,9 +11,10 @@ distances are graph distances, and one kernel computes them: layers()
 runs a multi-source breadth-first search and returns the distance
 layers around a vertex set, up to an optional radius or until a stop
 predicate first holds.  ball, distance and set_distance are thin calls
-to it, and so are the cluster labels and code.clause_pattern, whose
-radius-3 ball gives the window engine its distance masks.  The scales
-in this package (radius <= 10) make that exact and cheap.
+to it, and so is code.clause_pattern, whose radius-3 ball gives the
+window engine its distance masks and the cluster labels their
+neighbourhoods.  The scales in this package (radius <= 10) make that
+exact and cheap.
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the
@@ -23,15 +24,15 @@ of the infinite grid is then one pair (orbit index, cell offset): the
 domain vertex of that index shifted by the offset.  The lattice's table,
 compiled once on first use, lists the three neighbours of each orbit in
 that form, so code that walks the grid of a periodic set follows integer
-lookups instead of canonicalising every vertex it meets: layers() walks
-it when given the lattice's step in place of neighbors().
+lookups instead of canonicalising every vertex it meets: the clause
+compile and the cluster labels walk clause_pattern's steps through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -66,11 +67,10 @@ def closed_neighborhood(v: Vertex) -> tuple[Vertex, ...]:
 
 
 def layers(
-    sources: Iterable[Hashable],
+    sources: Iterable[Vertex],
     radius: int | None = None,
-    stop: Callable[[Hashable], bool] | None = None,
-    step: Callable[[Hashable], Iterable[Hashable]] = neighbors,
-) -> list[list]:
+    stop: Callable[[Vertex], bool] | None = None,
+) -> list[list[Vertex]]:
     """Distance layers around a vertex set, by multi-source breadth-first search.
 
     out[d] lists the vertices at distance exactly d from the sources, in
@@ -79,8 +79,6 @@ def layers(
     first vertex w outside the sources with stop(w) true: the last layer
     is cut right after w, so len(out) - 1 is the distance to w.  Without
     a radius, stop must hit somewhere, since the grid is infinite.
-    step gives the neighbours of a vertex: neighbors() for Vertex
-    objects, or a lattice's step for (orbit index, da, db) nodes.
     """
     seen = set(sources)
     frontier = list(seen)
@@ -88,7 +86,7 @@ def layers(
     while frontier and (radius is None or len(out) <= radius):
         nxt = []
         for u in frontier:
-            for w in step(u):
+            for w in neighbors(u):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -240,12 +238,6 @@ class PeriodLattice:
                 rows.append((entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1)))
                 rows.append((entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0)))
         return tuple(rows)
-
-    def step(self, node: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        """The neighbours of a node (i, a, b), the vertex_at(i) shifted by
-        the cell offset (a, b), as nodes in the same form."""
-        i, a, b = node
-        return [(j, a + da, b + db) for j, da, db in self.table[i]]
 
     def translate(self, v: Vertex, k1: int, k2: int) -> Vertex:
         """v shifted by k1*(p, 0) + k2*(shear, q) in cell space."""

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,17 @@ def test_oversized_code_file_fails_before_any_work(capsys, monkeypatch, tmp_path
         code, out, err = run(capsys, cmd, "--code", str(path))
         assert (code, out) == (2, "")
         assert "domain size 180000 exceeds cap 20000" in err
+    # a member at a huge orbit index would need a 100 MB bitmask
+    path.write_text("period 20000 20000 0\n19999 19999 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--code", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "domain size 800000000 exceeds cap 20000" in err
+    assert peak < 4 << 20
 
 
 def test_output_flag_writes_file(capsys, tmp_path, witness):

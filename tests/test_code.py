@@ -143,6 +143,17 @@ def test_verify_matches_brute_force_on_random_subsets():
         assert (c.verify() == []) == brute_force_ok(c)
 
 
+def test_from_bits_keeps_the_domain_part_of_its_mask():
+    rng = random.Random(15)
+    for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(8, 1, 5)]:
+        full_mask = (1 << lat.domain_size) - 1
+        for _ in range(20):
+            bits = rng.getrandbits(lat.domain_size + 8)
+            c = PeriodicCode.from_bits(lat, bits)
+            assert c.bits == bits & full_mask == PeriodicCode(lat, c.members).bits
+            assert c.orbits() == {lat.index(v) for v in c.members}
+
+
 def test_constraint_masks_are_nonempty_and_within_domain():
     for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(2, 2, 1)]:
         full_mask = (1 << lat.domain_size) - 1

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hexident.cluster import Classification
+from hexident.code import PeriodicCode, clause_pattern
 from hexident.hexgrid import (
     PeriodLattice,
     Vertex,
@@ -252,13 +254,18 @@ lattices = st.builds(
 )
 
 
-@given(lattices, st.lists(verts, min_size=1, max_size=3), st.integers(0, 4))
-def test_layers_walk_the_table_as_the_grid(lat, sources, radius):
+@given(lattices, verts)
+@example(PeriodLattice(1, 1), Vertex(0, 0, 0))
+@example(PeriodLattice(5, 3, 4), Vertex(-7, 11, 1))
+def test_pattern_ball_walks_the_table_as_the_grid(lat, v):
     # a node (j, a, b) is vertex_at(j) shifted by (a, b); small periods put
-    # one orbit at several distinct vertices of a layer
-    def node(v):
-        c = lat.vertex_at(lat.index(v))
-        return (lat.index(v), v.a - c.a, v.b - c.b)
+    # one orbit at several distinct positions of the ball
+    def node(w):
+        c = lat.vertex_at(lat.index(w))
+        return (lat.index(w), w.a - c.a, w.b - c.b)
 
-    got = layers([node(v) for v in sources], radius, step=lat.step)
-    assert [set(layer) for layer in got] == [{node(v) for v in layer} for layer in layers(sources, radius)]
+    pattern = clause_pattern(v.s)
+    rings = Classification(PeriodicCode(lat, frozenset()))._ball(node(v))
+    assert [n for ring in rings for n in ring] == [node(Vertex(v.a + w.a, v.b + w.b, w.s)) for w in pattern.ball]
+    assert [len(ring) for ring in rings] == [hi - lo for lo, hi in zip((0,) + pattern.ends, pattern.ends)]
+    assert [set(ring) for ring in rings] == [{node(w) for w in layer} for layer in layers((v,), 3)]
