@@ -39,10 +39,11 @@ direction (is cl nearby from an instance X + d of another finite
 cluster X?) reads nearby(X) with cl seen from X's frame, as the
 instance of cl at offset -d.
 
-The labels and reach read the radius-3 ball of code.clause_pattern
-around each cluster vertex, walked through the lattice's neighbour
-table as nodes (j, a, b): the domain vertex of orbit j shifted by the
-cell offset (a, b).  One map sends each code orbit j to (cid, da, db),
+The labels, reach and rule 4's face test read the radius-3 ball of
+code.clause_pattern around each cluster vertex, the last through the
+pattern's face positions.  The ball is walked through the lattice's
+neighbour table as nodes (j, a, b): the domain vertex of orbit j
+shifted by the cell offset (a, b).  One map sends each code orbit j to (cid, da, db),
 its cluster and the offset at which the cluster's anchored instance
 holds it, so a code node (j, a, b) lies in the instance at offset
 (a - da, b - db), the anchored one exactly when the map gives (cid, a, b).
@@ -318,6 +319,13 @@ class Classification:
             )
             self._nearby[cl.cid] = got
         return got
+
+    def shares_face(self, cl: Cluster, inst: Instance) -> bool:
+        """Whether a 3-cluster instance's center lies on a hexagonal face
+        through the vertex of the 1-cluster cl: rule 4's face test."""
+        (node,) = self._nodes(cl.cid)
+        at = [n for ring in self._ball(node) for n in ring]
+        return self._center_node(inst) in {at[t] for t in clause_pattern(node[0] & 1).face}
 
     # -- threatened / needy ------------------------------------------------
 

@@ -33,6 +33,8 @@ walk through the lattice's neighbour table.  Each clause keeps its
 orbits as a short sorted tuple, so a clause list costs memory in
 proportion to its length, not to the square of the domain.  The window
 engine of lemma_lab builds its distance masks and clauses from it too.
+The pattern also marks the ball positions on a hexagonal face through
+u, which rule 4's face test reads.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class ClausePattern(NamedTuple):
     ends: tuple[int, ...]  # ends[r]: how many positions lie within distance r
     walk: tuple[tuple[int, int], ...]  # per position t >= 1, (parent, slot)
     partners: tuple[tuple[int, Vertex, bool, tuple[int, ...]], ...]
+    # the positions on a hexagonal face through u, ascending: the ball
+    # within distance 2 and the 3 distance-3 positions opposite u
+    face: tuple[int, ...]
 
 
 @functools.cache
@@ -119,7 +124,11 @@ def clause_pattern(s: int) -> ClausePattern:
         assert diff, "closed neighborhoods of distinct vertices differ"
         mirrored = v > Vertex(-v.a, -v.b, v.s)
         partners.append((pos[v], v, mirrored, tuple(sorted(pos[w] for w in diff))))
-    return ClausePattern(ball, tuple(ends), tuple(walk), tuple(partners))
+    # two shortest paths from u to a distance-3 vertex close a 6-cycle, which
+    # at girth 6 is a face; and every vertex within distance 2 is on a face
+    ring2 = set(ball[ends[1]:ends[2]])
+    face = tuple(t for t, w in enumerate(ball) if t < ends[2] or len(ring2.intersection(neighbors(w))) == 2)
+    return ClausePattern(ball, tuple(ends), tuple(walk), tuple(partners), face)
 
 
 @functools.lru_cache(maxsize=256)
@@ -133,7 +142,7 @@ def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
     table = lattice.table
     empties, pairs = [], []
     for i, u in enumerate(lattice.domain()):
-        _, _, walk, partners = clause_pattern(u.s)
+        _, _, walk, partners, _ = clause_pattern(u.s)
         at = [i]
         for parent, slot in walk:
             at.append(table[at[parent]][slot][0])

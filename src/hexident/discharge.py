@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from hexident.hexgrid import Vertex, share_face
+from hexident.hexgrid import Vertex
 from hexident.code import PeriodicCode
 from hexident.cluster import Classification, Cluster, Instance, UnsupportedKind
 
@@ -235,22 +235,22 @@ def _pay_cluster(cls, charge, transfers, rule, donor, recipient_cid, mode=None):
     transfers.append(Transfer(rule, donor, recipient_cid, RULE_AMOUNT, mode))
 
 
-# rules 2 to 4 in precedence order: (rule, mode, qualifies(cls, v, inst))
-# over the instances a 1-cluster v is nearby
+# rules 2 to 4 in precedence order: (rule, mode, qualifies(cls, cl, inst))
+# over the instances a 1-cluster cl is nearby; the face mode reads the
+# face positions of cl's clause pattern ball
 _RESCUE_1 = (
-    (2, None, lambda cls, v, i: cls.is_big(i.cid)),
-    (3, None, lambda cls, v, i: cls.is_closed3(i.cid)),
-    (4, "crowded", lambda cls, v, i: cls.is_open3(i.cid) and cls.crowded[i.cid]),
-    (4, "face", lambda cls, v, i: cls.is_open3(i.cid) and share_face(v, cls.instance_center(i))),
-    (4, None, lambda cls, v, i: cls.is_open3(i.cid)),
+    (2, None, lambda cls, cl, i: cls.is_big(i.cid)),
+    (3, None, lambda cls, cl, i: cls.is_closed3(i.cid)),
+    (4, "crowded", lambda cls, cl, i: cls.is_open3(i.cid) and cls.crowded[i.cid]),
+    (4, "face", lambda cls, cl, i: cls.is_open3(i.cid) and cls.shares_face(cl, i)),
+    (4, None, lambda cls, cl, i: cls.is_open3(i.cid)),
 )
 
 
 def _rescue_1cluster(cls: Classification, cl: Cluster, charge, transfers, notes):
-    (v,) = cl.vertices
     near = cls.nearby(cl)
     for rule, mode, qualifies in _RESCUE_1:
-        donors = [i for i in near if qualifies(cls, v, i)]
+        donors = [i for i in near if qualifies(cls, cl, i)]
         if donors:
             donor = min(donors, key=lambda i: _donor_key(cls, i))
             _pay_cluster(cls, charge, transfers, rule, donor, cl.cid, mode)

@@ -9,12 +9,11 @@ s in {0, 1} picks the vertex inside the cell.  Adjacency:
 which yields the 3-regular bipartite honeycomb with girth 6.  All
 distances are graph distances, and one kernel computes them: layers()
 runs a multi-source breadth-first search and returns the distance
-layers around a vertex set, up to an optional radius or until a stop
-predicate first holds.  ball, distance and set_distance are thin calls
-to it, and so is code.clause_pattern, whose radius-3 ball gives the
-window engine its distance masks and the cluster labels their
-neighbourhoods.  The scales in this package (radius <= 10) make that
-exact and cheap.
+layers around a vertex set up to a radius.  ball is a thin call to it,
+and so is code.clause_pattern, whose radius-3 ball gives the window
+engine its distance masks and the cluster labels their neighbourhoods
+and faces.  The scales in this package (radius <= 10) make that exact
+and cheap.
 
 A PeriodLattice describes the translation group generated by (p, 0)
 and (shear, q) acting on cells.  Its fundamental domain holds the
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -66,101 +65,28 @@ def closed_neighborhood(v: Vertex) -> tuple[Vertex, ...]:
     return (v,) + neighbors(v)
 
 
-def layers(
-    sources: Iterable[Vertex],
-    radius: int | None = None,
-    stop: Callable[[Vertex], bool] | None = None,
-) -> list[list[Vertex]]:
+def layers(sources: Iterable[Vertex], radius: int) -> list[list[Vertex]]:
     """Distance layers around a vertex set, by multi-source breadth-first search.
 
     out[d] lists the vertices at distance exactly d from the sources, in
-    discovery order; out[0] holds the distinct sources.  The search ends
-    after layer radius when one is given.  With stop, it also ends at the
-    first vertex w outside the sources with stop(w) true: the last layer
-    is cut right after w, so len(out) - 1 is the distance to w.  Without
-    a radius, stop must hit somewhere, since the grid is infinite.
+    discovery order, for d up to radius; out[0] holds the distinct sources.
     """
     seen = set(sources)
-    frontier = list(seen)
-    out = [frontier]
-    while frontier and (radius is None or len(out) <= radius):
+    out = [list(seen)]
+    for _ in range(radius):
         nxt = []
-        for u in frontier:
+        for u in out[-1]:
             for w in neighbors(u):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
-                    if stop is not None and stop(w):
-                        out.append(nxt)
-                        return out
         out.append(nxt)
-        frontier = nxt
     return out
 
 
 def ball(v: Vertex, radius: int) -> set[Vertex]:
     """All vertices at distance <= radius from v."""
     return set().union(*layers((v,), radius))
-
-
-def _hit_distance(src: Iterable[Vertex], hit: Callable[[Vertex], bool], cap: int | None) -> int:
-    # src must hold no hit: the last vertex found is then a hit exactly
-    # when the search stopped on one rather than at the cap
-    out = layers(src, cap, hit)
-    return len(out) - 1 if hit(out[-1][-1]) else cap + 1
-
-
-def distance(u: Vertex, v: Vertex, cap: int | None = None) -> int:
-    """Graph distance between u and v.
-
-    With cap set, returns cap + 1 as soon as the distance is known to
-    exceed cap (the search stops instead of flooding outward).
-    """
-    if u == v:
-        return 0
-    return _hit_distance((u,), v.__eq__, cap)
-
-
-def set_distance(src: Iterable[Vertex], dst: Iterable[Vertex], cap: int | None = None) -> int:
-    """Minimum distance between two nonempty vertex sets."""
-    dst = set(dst)
-    src = set(src)
-    if src & dst:
-        return 0
-    return _hit_distance(src, dst.__contains__, cap)
-
-
-def faces_through(v: Vertex) -> tuple[frozenset[Vertex], ...]:
-    """The three hexagonal faces (6-cycles) containing v.
-
-    Face F(a, b) is the 6-cycle
-        (a,b,0) (a,b,1) (a+1,b,0) (a+1,b-1,1) (a+1,b-1,0) (a,b-1,1).
-    Since the grid has girth 6, these faces are exactly its 6-cycles.
-    """
-    a, b, s = v
-    if s == 0:
-        cells = ((a, b), (a - 1, b), (a - 1, b + 1))
-    else:
-        cells = ((a, b), (a, b + 1), (a - 1, b + 1))
-    return tuple(_face(ca, cb) for ca, cb in cells)
-
-
-def _face(a: int, b: int) -> frozenset[Vertex]:
-    return frozenset(
-        (
-            Vertex(a, b, 0),
-            Vertex(a, b, 1),
-            Vertex(a + 1, b, 0),
-            Vertex(a + 1, b - 1, 1),
-            Vertex(a + 1, b - 1, 0),
-            Vertex(a, b - 1, 1),
-        )
-    )
-
-
-def share_face(u: Vertex, v: Vertex) -> bool:
-    """True when u and v lie on a common hexagonal face."""
-    return any(v in f for f in faces_through(u))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +164,6 @@ class PeriodLattice:
                 rows.append((entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1)))
                 rows.append((entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0)))
         return tuple(rows)
-
-    def translate(self, v: Vertex, k1: int, k2: int) -> Vertex:
-        """v shifted by k1*(p, 0) + k2*(shear, q) in cell space."""
-        a, b, s = v
-        return Vertex(a + k1 * self.p + k2 * self.shear, b + k2 * self.q, s)
 
 
 def lattices_of_size(size: int, p_max: int | None = None) -> Iterator[PeriodLattice]:

@@ -118,7 +118,9 @@ class Template:
 def parse_template(text: str, name: str = "window") -> Template:
     """Parse the window text format: one "a b s STATUS" row per line.
 
-    '#' starts a comment; blank lines are skipped.
+    '#' starts a comment; blank lines are skipped.  Every row seeds the
+    engine's universe, so a window of more than UNIVERSE_CAP rows raises
+    RegionTooLarge as soon as the parse reaches one row too many.
     """
     rows = []
     seen = set()
@@ -126,6 +128,8 @@ def parse_template(text: str, name: str = "window") -> Template:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(rows) == UNIVERSE_CAP:
+            raise RegionTooLarge("window rows exceed the universe cap of %d" % UNIVERSE_CAP)
         parts = line.split()
         if len(parts) != 4:
             raise ValueError("expected 'a b s STATUS', got %r" % raw)

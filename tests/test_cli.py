@@ -256,6 +256,25 @@ def test_check_lemma_universe_cap_fails_before_enumeration_cap(capsys, tmp_path)
         assert "universe cap of %d" % UNIVERSE_CAP in err
 
 
+def test_oversized_window_file_fails_while_parsing(capsys, monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("a window past the universe cap reached the lemma check")
+
+    monkeypatch.setattr(hexident.cli, "check_lemma", never)
+    # every row seeds the universe, so one row past the cap is refused
+    path = tmp_path / "huge.txt"
+    path.write_text("".join("%d 40 0 UNKNOWN\n" % a for a in range(UNIVERSE_CAP + 1)))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check-lemma", "--id", "L2", "--template", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "universe cap of %d" % UNIVERSE_CAP in err
+    assert peak < 4 << 20
+
+
 # ---------------------------------------------------------------------------
 # search and scan
 

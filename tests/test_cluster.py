@@ -352,8 +352,8 @@ def test_random_codes_partition_and_maximality():
                 assert reach == cl.vertices
                 # every vertex of an instance reports the same offset
                 k1, k2 = rng.randrange(-2, 3), rng.randrange(-2, 3)
-                offs = {
-                    cls.instance_of(lat.translate(v, k1, k2))[1:] for v in cl.vertices
-                }
+                # each vertex shifted by k1*(p, 0) + k2*(shear, q) in cell space
+                da, db = k1 * lat.p + k2 * lat.shear, k2 * lat.q
+                offs = {cls.instance_of(Vertex(v.a + da, v.b + db, v.s))[1:] for v in cl.vertices}
                 assert len(offs) == 1
             assert seen == set(code.members)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, distance, layers, neighbors, set_distance
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, layers, neighbors
 from hexident.code import PeriodicCode, full_code, tile
 from hexident.cluster import Classification, Instance, UnsupportedKind
 from hexident.optimize import SearchSpec, enumerate_codes, minimum_code, random_code
@@ -34,6 +34,9 @@ from hexident.discharge import (
     run_main,
     run_prop1,
 )
+
+# the hexagonal faces through a vertex, written out as 6-cycles
+from test_hexgrid import faces_through
 
 
 def bare(p, q, members, shear=0):
@@ -362,9 +365,18 @@ def test_small_lattice_sweep_exact():
 # -- the distance-three relation against its first implementation ---------
 #
 # Before Classification.reach and Classification.nearby, every predicate
-# ran its own ball / set_distance search.  Those searches are kept here as
+# ran its own ball / set distance search.  Those searches are kept here as
 # the reference that reach, nearby, needy_support, paired, pairs, the quiet
-# claim and outflow must reproduce exactly.
+# claim, outflow and rule 4's face test must reproduce exactly.
+
+
+def _ref_set_distance(src, dst, cap):
+    """The least distance between two vertex sets, or cap + 1 past cap."""
+    dst = set(dst)
+    for d, layer in enumerate(layers(src, cap)):
+        if not dst.isdisjoint(layer):
+            return d
+    return cap + 1
 
 
 def _ref_within(cls, around, radius, exclude):
@@ -396,14 +408,14 @@ def _ref_inst_within(cls, src, inst, radius):
     if cls.clusters[inst.cid].infinite:
         targets = cls.clusters[inst.cid].classes
         return any(cls.code.lattice.canonical(w) in targets for v in src for w in ball(v, radius))
-    return set_distance(src, cls.instance_vertices(inst), cap=radius) <= radius
+    return _ref_set_distance(src, cls.instance_vertices(inst), radius) <= radius
 
 
 def _ref_nearby_from_1cluster(cls, v, inst):
     if cls.is_big(inst.cid) or cls.is_closed3(inst.cid):
         return _ref_inst_within(cls, {v}, inst, 3)
     if cls.is_open3(inst.cid):
-        return distance(v, cls.instance_center(inst), cap=3) <= 3
+        return _ref_set_distance({v}, {cls.instance_center(inst)}, 3) <= 3
     return False
 
 
@@ -412,7 +424,7 @@ def _ref_nearby_from_open3(cls, c1, inst):
         return _ref_inst_within(cls, c1.vertices, inst, 3)
     if cls.is_open3(inst.cid):
         tv = cls.instance_vertices(inst)
-        return all(set_distance({leaf}, tv, cap=3) <= 3 for leaf in _anchored_leaves(c1))
+        return all(_ref_set_distance({leaf}, tv, 3) <= 3 for leaf in _anchored_leaves(c1))
     return False
 
 
@@ -427,7 +439,7 @@ def _ref_needy_support(cls, cl):
             count += _ref_nearby_from_1cluster(cls, v, cl.anchored)
         else:
             leaves = _ref_leaves(cls, inst)
-            count += all(set_distance({lf}, cl.vertices, cap=3) <= 3 for lf in leaves)
+            count += all(_ref_set_distance({lf}, cl.vertices, 3) <= 3 for lf in leaves)
     return count
 
 
@@ -437,9 +449,9 @@ def _ref_paired(cls, c1, inst):
     if cls.crowded[c1.cid] or cls.crowded[inst.cid] or inst == c1.anchored:
         return False
     tv = cls.instance_vertices(inst)
-    if not all(set_distance({lf}, tv, cap=3) <= 3 for lf in _anchored_leaves(c1)):
+    if not all(_ref_set_distance({lf}, tv, 3) <= 3 for lf in _anchored_leaves(c1)):
         return False
-    return all(set_distance({lf}, c1.vertices, cap=3) <= 3 for lf in _ref_leaves(cls, inst))
+    return all(_ref_set_distance({lf}, c1.vertices, 3) <= 3 for lf in _ref_leaves(cls, inst))
 
 
 def _ref_pairs(cls):
@@ -491,7 +503,7 @@ def _ref_quiet(ledger, cluster):
             if w in seen or w in cluster.vertices or not ledger.code.contains(w):
                 continue
             seen.add(w)
-            if set_distance({w}, cluster.vertices, cap=2) != 2:
+            if _ref_set_distance({w}, cluster.vertices, 2) != 2:
                 continue
             if not _ref_received_from_anchored(ledger, cluster, cls.instance_of(w)):
                 return True
@@ -616,6 +628,12 @@ def test_relation_matches_reference_searches(kind):
             if cl.size == 1:
                 (v,) = cl.vertices
                 want = {i for i in within3 if _ref_nearby_from_1cluster(cls, v, i)}
+                faces = faces_through(v)
+                for inst in within3:
+                    if cls.clusters[inst.cid].size == 3:
+                        face = any(cls.instance_center(inst) in f for f in faces)
+                        assert cls.shares_face(cl, inst) == face
+                        seen["face" if face else "no face"] += 1
             elif cls.is_open3(cl.cid):
                 want = {i for i in within3 if _ref_nearby_from_open3(cls, cl, i)}
                 support = cls.needy_support(cl)
@@ -638,7 +656,7 @@ def test_relation_matches_reference_searches(kind):
         "planted": ("rule3", "rule4face", "rule4crowded", "rule4", "paired", "support"),
         "arbitrary": ("rule1", "rule2", "rule3", "rule4crowded", "support"),
     }[kind]
-    for key in floors + ("nearby", "quiet", "loud"):
+    for key in floors + ("nearby", "quiet", "loud", "face", "no face"):
         assert seen[key] > 0, (key, dict(seen))
 
 
@@ -705,7 +723,9 @@ def test_labels_match_vertex_references(kind):
                 )
             seen["infinite"] += cl.infinite
         for v in lat.domain():
-            w = lat.translate(v, rng.randrange(-3, 4), rng.randrange(-3, 4))
+            # v shifted by k1*(p, 0) + k2*(shear, q) in cell space
+            k1, k2 = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            w = Vertex(v.a + k1 * lat.p + k2 * lat.shear, v.b + k2 * lat.q, v.s)
             if v in code.members:
                 assert cls.instance_of(w) == _ref_instance_of(cls, w)
             else:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hexident.cluster import Classification
 from hexident.code import PeriodicCode, clause_pattern
@@ -11,13 +11,9 @@ from hexident.hexgrid import (
     all_lattices,
     ball,
     closed_neighborhood,
-    distance,
-    faces_through,
     layers,
     lattices_of_size,
     neighbors,
-    set_distance,
-    share_face,
 )
 
 verts = st.builds(
@@ -84,26 +80,33 @@ def test_girth_is_six():
         assert set(neighbors(u)) & set(neighbors(w)) == {v0}
 
 
-# far-apart pairs flood a large search; no wall-clock deadline
-@settings(deadline=None)
-@given(verts, verts)
-def test_distance_symmetric(u, v):
-    d = distance(u, v)
-    assert d == distance(v, u)
-    assert (d == 0) == (u == v)
+def faces_through(v):
+    """The three hexagonal faces (6-cycles) containing v, the reference
+    for clause_pattern's face positions.
+
+    Face F(a, b) is the 6-cycle
+        (a,b,0) (a,b,1) (a+1,b,0) (a+1,b-1,1) (a+1,b-1,0) (a,b-1,1).
+    Since the grid has girth 6, these faces are exactly its 6-cycles.
+    """
+    a, b, s = v
+    if s == 0:
+        cells = ((a, b), (a - 1, b), (a - 1, b + 1))
+    else:
+        cells = ((a, b), (a, b + 1), (a - 1, b + 1))
+    return tuple(_face(ca, cb) for ca, cb in cells)
 
 
-@given(verts)
-def test_distance_cap_short_circuits(v):
-    far = Vertex(v.a + 9, v.b + 9, v.s)
-    assert distance(v, far, cap=3) == 4
-
-
-def test_set_distance():
-    a = {Vertex(0, 0, 0), Vertex(0, 0, 1)}
-    b = {Vertex(2, 0, 0)}
-    assert set_distance(a, b) == distance(Vertex(0, 0, 1), Vertex(2, 0, 0))
-    assert set_distance(a, a) == 0
+def _face(a, b):
+    return frozenset(
+        (
+            Vertex(a, b, 0),
+            Vertex(a, b, 1),
+            Vertex(a + 1, b, 0),
+            Vertex(a + 1, b - 1, 1),
+            Vertex(a + 1, b - 1, 0),
+            Vertex(a, b - 1, 1),
+        )
+    )
 
 
 @given(verts)
@@ -121,9 +124,18 @@ def test_faces_are_6_cycles_containing_v(v):
 @given(verts)
 def test_adjacent_vertices_share_two_faces(v):
     for u in neighbors(v):
-        shared = [f for f in faces_through(v) if u in f]
-        assert len(shared) == 2
-        assert share_face(u, v)
+        assert len([f for f in faces_through(v) if u in f]) == 2
+        assert len([f for f in faces_through(u) if v in f]) == 2
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_pattern_face_positions_are_the_faces_through_u(s):
+    pattern = clause_pattern(s)
+    u = pattern.ball[0]
+    on_face = set().union(*faces_through(u))
+    assert pattern.face == tuple(t for t, w in enumerate(pattern.ball) if w in on_face)
+    # no vertex beyond the pattern's ball shares a face with u
+    assert not (ball(u, 5) - set(pattern.ball)) & on_face
 
 
 def test_canonical_examples():
@@ -142,7 +154,8 @@ def test_canonical_translation_invariant(p, q, shear, v, k1, k2):
     c = lat.canonical(v)
     assert lat.canonical(c) == c
     assert 0 <= c.a < p and 0 <= c.b < q
-    assert lat.canonical(lat.translate(v, k1, k2)) == c
+    # v shifted by k1*(p, 0) + k2*(shear, q) in cell space
+    assert lat.canonical(Vertex(v.a + k1 * p + k2 * shear, v.b + k2 * q, v.s)) == c
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4))
@@ -235,18 +248,6 @@ def test_layers_match_reference_bfs(sources, radius):
     got = layers(sources, radius)
     assert [set(layer) for layer in got] == _reference_layers(sources, radius)
     assert sum(len(layer) for layer in got) == len(set().union(*got))
-
-
-@given(st.lists(verts, min_size=1, max_size=3), st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 1))
-def test_layers_stop_at_first_hit(sources, da, db, s):
-    target = Vertex(sources[0].a + da, sources[0].b + db, s)
-    if target in sources:
-        return
-    out = layers(sources, stop=target.__eq__)
-    assert out[-1][-1] == target
-    ref = _reference_layers(sources, len(out) - 1)
-    assert target in ref[-1]
-    assert [set(layer) for layer in out[:-1]] == ref[:-1]
 
 
 lattices = st.builds(

@@ -1,6 +1,7 @@
 """The library stays standard-library only: every module under
 src/hexident imports nothing but hexident itself, __future__ and the
-standard library.  No module rebinds a builtin's name."""
+standard library.  No module rebinds a builtin's name, and nothing the
+library defines goes unused by the library and its benchmark."""
 
 import ast
 import builtins
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hexident"
+BENCH = SRC.parent.parent / "perfbench"
 ALLOWED = {"hexident", "__future__"} | set(sys.stdlib_module_names)
 
 BUILTINS = {name for name in dir(builtins) if not name.startswith("_")}
@@ -54,3 +56,46 @@ def test_module_shadows_no_builtin(path):
     found = [(name, line) for name, line in _bound_names(path)
              if name in BUILTINS and (path.name, name) not in SHADOWS_ALLOWED]
     assert found == []
+
+
+# public calls that only the tests make: each is part of the documented
+# toolkit, kept for users and for the tests that check the library by it
+ONLY_TESTS_CALL = {
+    "PeriodicCode.identifier",  # N[v] intersected with the code
+    "PeriodicCode.is_identifying",  # verify() as a bool
+    "thin_code",  # a code minus some vertices
+    "WindowConfig.as_mapping",  # a window assignment as a dict
+    "save_template",  # writes the window format parse_template reads
+    "brute_force_minimum",  # the unpruned minimum the search is checked against
+    "plant_isolated_pair",  # a code that must fail verification on one pair
+}
+
+
+def _definitions(path):
+    """Every module-level function and class of a module, and every method
+    but the dunders that Python calls implicitly, as Class.method."""
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.endswith("__"):
+                    yield node.name + "." + sub.name
+
+
+def test_every_library_definition_is_referenced():
+    # a name read anywhere in the library or the benchmark counts as a
+    # reference; a definition that no such line reads is dead code that
+    # still has to be trusted
+    used = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name for path in sorted(SRC.rglob("*.py")) for name in _definitions(path)
+              if name.rsplit(".", 1)[-1] not in used}
+    assert sorted(unused - ONLY_TESTS_CALL) == []
+    # an allowlisted name that gains a library caller leaves the list
+    assert sorted(ONLY_TESTS_CALL - unused) == []

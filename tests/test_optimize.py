@@ -6,7 +6,7 @@ import pytest
 
 from hexident import optimize
 from hexident.code import thin_code
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, distance
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, neighbors
 from hexident.optimize import (
     DENSITY_CEILING,
     DENSITY_FLOOR,
@@ -365,7 +365,7 @@ def test_planted_pair_always_fails_verification_on_that_pair():
     for pqs in ((3, 3, 0), (4, 4, 0), (5, 3, 0)):
         for seed in range(5):
             code, u, v = plant_isolated_pair(PeriodLattice(*pqs), seed=seed)
-            assert distance(u, v) == 1
+            assert v in neighbors(u)
             assert code.contains(u) and code.contains(v)
             violations = {(w.kind, w.vertices) for w in code.verify()}
             assert ("IndistinguishablePair", (u, v)) in violations
@@ -376,8 +376,8 @@ def test_planted_pair_is_isolated_within_two():
     for w in code.members:
         if w in (u, v):
             continue
-        assert distance(u, w, cap=3) > 2
-        assert distance(v, w, cap=3) > 2
+        assert w not in ball(u, 2)
+        assert w not in ball(v, 2)
 
 
 def test_planted_pair_needs_room():
