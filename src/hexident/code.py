@@ -61,7 +61,9 @@ class Constraint:
 
     @property
     def mask(self) -> int:
-        """The orbits as a bitmask over orbit indices."""
+        """The orbits as a bitmask over orbit indices, built on each call so
+        a clause stores only its orbits.  optimize reads it once per clause
+        for its mask searches, and perfbench's tracer for clause sizes."""
         mask = 0
         for i in self.orbits:
             mask |= 1 << i
@@ -182,11 +184,22 @@ class PeriodicCode:
         return got
 
     @classmethod
+    def _of(cls, lattice: PeriodLattice, members: frozenset[Vertex]) -> "PeriodicCode":
+        """A code of members that are canonical already, built without
+        running __post_init__ over them again."""
+        code = object.__new__(cls)
+        vars(code).update(lattice=lattice, members=members)
+        return code
+
+    @classmethod
     def from_bits(cls, lattice: PeriodLattice, bits: int) -> "PeriodicCode":
-        """The code of a mask; bits at or above the domain size are ignored."""
+        """The code of a mask; bits at or above the domain size are ignored.
+
+        The members are the lattice's own domain vertices, so all the codes
+        built from masks on one lattice share one set of Vertex objects."""
         bits &= (1 << lattice.domain_size) - 1
-        code = cls(lattice, frozenset(map(lattice.vertex_at, set_bits(bits))))
-        object.__setattr__(code, "_bits", bits)
+        code = cls._of(lattice, frozenset(map(lattice.vertices.__getitem__, set_bits(bits))))
+        vars(code)["_bits"] = bits
         return code
 
     def orbits(self) -> frozenset[int]:
@@ -242,31 +255,42 @@ class PeriodicCode:
 
     @classmethod
     def from_text(cls, text: str) -> "PeriodicCode":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines:
-            raise ValueError("empty code file")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "period":
-            raise ValueError("first line must be 'period p q shear'")
-        try:
-            p, q, shear = (int(x) for x in head[1:])
-            lattice = PeriodLattice(p, q, shear)
-        except ValueError as e:
-            raise ValueError(f"bad period line: {e}") from None
+        return cls._read(text.splitlines())
+
+    @classmethod
+    def _read(cls, lines: Iterable[str]) -> "PeriodicCode":
+        """The code of a 'period p q shear' line and one 'a b s' row per
+        member; blank lines and '#' comments are skipped.  Each row goes
+        into the member set as its orbit representative as soon as it is
+        read, so repeated rows cost no memory."""
+        lattice = None
         members = set()
-        for ln in lines[1:]:
+        for raw in lines:
+            ln = raw.strip()
+            if not ln or ln.startswith("#"):
+                continue
             parts = ln.split()
+            if lattice is None:
+                if len(parts) != 4 or parts[0] != "period":
+                    raise ValueError("first line must be 'period p q shear'")
+                try:
+                    p, q, shear = map(int, parts[1:])
+                    lattice = PeriodLattice(p, q, shear)
+                except ValueError as e:
+                    raise ValueError(f"bad period line: {e}") from None
+                continue
             if len(parts) != 3:
                 raise ValueError(f"bad vertex row: {ln!r}")
             try:
-                a, b, s = (int(x) for x in parts)
+                a, b, s = map(int, parts)
             except ValueError:
                 raise ValueError(f"bad vertex row: {ln!r}") from None
             if s not in (0, 1):
                 raise ValueError(f"vertex sublattice must be 0 or 1: {ln!r}")
-            members.add(Vertex(a, b, s))
-        return cls(lattice, frozenset(members))
+            members.add(lattice.canonical(Vertex(a, b, s)))
+        if lattice is None:
+            raise ValueError("empty code file")
+        return cls._of(lattice, frozenset(members))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -275,7 +299,8 @@ class PeriodicCode:
     @classmethod
     def load(cls, path) -> "PeriodicCode":
         with open(path) as fh:
-            return cls.from_text(fh.read())
+            # the lines from_text would split, one file line at a time
+            return cls._read(row for line in fh for row in line.splitlines())
 
 
 def full_code(lattice: PeriodLattice) -> PeriodicCode:

@@ -20,11 +20,13 @@ and (shear, q) acting on cells.  Its fundamental domain holds the
 2*p*q vertices with 0 <= a < p, 0 <= b < q, numbered by index(); the
 orbit of a vertex is the domain vertex it translates onto.  Every vertex
 of the infinite grid is then one pair (orbit index, cell offset): the
-domain vertex of that index shifted by the offset.  The lattice's table,
-compiled once on first use, lists the three neighbours of each orbit in
-that form, so code that walks the grid of a periodic set follows integer
-lookups instead of canonicalising every vertex it meets: the clause
-compile and the cluster labels walk clause_pattern's steps through it.
+domain vertex of that index shifted by the offset.  The lattice keeps its
+domain vertices as one tuple in index order, which the codes built from
+bit masks share.  The lattice's table, compiled once on first use, lists
+the three neighbours of each orbit in that form, so code that walks the
+grid of a periodic set follows integer lookups instead of canonicalising
+every vertex it meets: the clause compile and the cluster labels walk
+clause_pattern's steps through it.
 """
 
 from __future__ import annotations
@@ -138,6 +140,12 @@ class PeriodLattice:
             for b in range(self.q):
                 yield Vertex(a, b, 0)
                 yield Vertex(a, b, 1)
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The domain vertices in index order, built on first use:
+        vertices[i] is vertex_at(i), one shared object per orbit."""
+        return tuple(self.domain())
 
     @cached_property
     def table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:

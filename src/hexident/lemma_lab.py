@@ -122,9 +122,15 @@ def parse_template(text: str, name: str = "window") -> Template:
     engine's universe, so a window of more than UNIVERSE_CAP rows raises
     RegionTooLarge as soon as the parse reaches one row too many.
     """
+    return _parse_rows(text.splitlines(), name)
+
+
+def _parse_rows(lines: Iterable[str], name: str) -> Template:
+    # reads one line at a time, so a refused window holds at most
+    # UNIVERSE_CAP rows whatever its length
     rows = []
     seen = set()
-    for raw in text.splitlines():
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -158,8 +164,8 @@ def template_text(template: Template) -> str:
 
 def load_template(path, name: Optional[str] = None) -> Template:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_template(text, name or str(path))
+        # the lines text.splitlines() would give, one file line at a time
+        return _parse_rows((row for line in fh for row in line.splitlines()), name or str(path))
 
 
 def save_template(template: Template, path) -> None:

@@ -5,8 +5,14 @@ of the infinite lift are positive clauses over those bits (each clause:
 at least one of these orbits is in the code).  Minimizing the code is
 then a minimum hitting set, solved here by branch and bound with unit
 propagation, a disjoint-clause lower bound, and translation symmetry
-breaking.  Domains of at most 16 vertices can also be enumerated
-outright, which doubles as an independent check on the search.
+breaking.  minimum_code and random_code build their clause masks and
+per-orbit clause lists once per call, from each clause's orbits.
+
+Domains of at most 16 vertices can also be enumerated outright, through
+truth tables: one big integer per clause holds, at bit k, whether the
+mask k hits it, and their AND holds the codes.  brute_force_minimum
+stays the plain loop over all 2^n masks, the independent check the
+search is tested against.
 
 The module also carries two code generators used for corpus building:
 a seeded random minimal identifying code, and a deliberately broken
@@ -71,8 +77,17 @@ class SearchResult:
 # clause plumbing
 
 
-def _masks(lattice: PeriodLattice) -> tuple[int, ...]:
-    return tuple(c.mask for c in identifying_constraints(lattice))
+def _clauses(lattice: PeriodLattice) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The clause masks in clause order, and per orbit the masks of the
+    clauses that hold it, read off Constraint.orbits."""
+    masks = []
+    by_orbit: list[list[int]] = [[] for _ in range(lattice.domain_size)]
+    for c in identifying_constraints(lattice):
+        m = c.mask
+        masks.append(m)
+        for i in c.orbits:
+            by_orbit[i].append(m)
+    return tuple(masks), by_orbit
 
 
 class _Stop(Exception):
@@ -214,11 +229,11 @@ def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
     n = lattice.domain_size
     if n > DOMAIN_CAP:
         raise DomainTooLarge(f"domain size {n} exceeds cap {DOMAIN_CAP}")
-    masks = _masks(lattice)
+    masks, by_orbit = _clauses(lattice)
     limit = spec.budget if spec.budget is not None else n
     search = _Search(masks, n, limit, node_cap)
     for seed in (0, 1, 2):
-        search.seed(_random_bits(lattice, masks, random.Random(seed)))
+        search.seed(_random_bits(n, by_orbit, random.Random(seed)))
     complete = True
     try:
         if spec.symmetry_reduction:
@@ -241,14 +256,31 @@ def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
 
 
 def enumerate_codes(lattice: PeriodLattice) -> Iterator[PeriodicCode]:
-    """Every identifying code with this period, by pure exhaustion."""
+    """Every identifying code with this period, in ascending order of bits.
+
+    One truth table decides all 2^n masks at once: bit k of column[i] is
+    bit i of k, a clause's table is the OR of its orbits' columns, and
+    the codes are the set bits of the AND over all clauses.
+    """
     n = lattice.domain_size
     if n > BRUTE_FORCE_CAP:
         raise DomainTooLarge(f"domain size {n} exceeds cap {BRUTE_FORCE_CAP}")
-    masks = _masks(lattice)
-    for bits in range(1 << n):
-        if all(bits & m for m in masks):
-            yield PeriodicCode.from_bits(lattice, bits)
+    full = (1 << (1 << n)) - 1
+    # full // (2^(2^i) + 1) repeats 2^i ones and 2^i zeros from bit 0 up:
+    # it marks the k whose bit i is clear
+    columns = [full ^ full // ((1 << (1 << i)) + 1) for i in range(n)]
+    table = full
+    for c in identifying_constraints(lattice):
+        hit = 0
+        for i in c.orbits:
+            hit |= columns[i]
+        table &= hit
+    # character k of the reversed binary string is bit k of the table
+    keep = bin(table)[:1:-1]
+    k = keep.find("1")
+    while k >= 0:
+        yield PeriodicCode.from_bits(lattice, k)
+        k = keep.find("1", k + 1)
 
 
 def brute_force_minimum(lattice: PeriodLattice) -> Tuple[int, PeriodicCode]:
@@ -256,7 +288,7 @@ def brute_force_minimum(lattice: PeriodLattice) -> Tuple[int, PeriodicCode]:
     n = lattice.domain_size
     if n > BRUTE_FORCE_CAP:
         raise DomainTooLarge(f"domain size {n} exceeds cap {BRUTE_FORCE_CAP}")
-    masks = _masks(lattice)
+    masks = [c.mask for c in identifying_constraints(lattice)]
     best_bits = full_code(lattice).bits
     best_size = n
     for bits in range(1 << n):
@@ -272,18 +304,13 @@ def brute_force_minimum(lattice: PeriodLattice) -> Tuple[int, PeriodicCode]:
 # code generators
 
 
-def _random_bits(lattice: PeriodLattice, masks, rng: random.Random) -> int:
-    n = lattice.domain_size
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for m in masks:
-        for i in set_bits(m):
-            by_vertex[i].append(m)
+def _random_bits(n: int, by_orbit: list[list[int]], rng: random.Random) -> int:
     bits = (1 << n) - 1
     order = list(range(n))
     rng.shuffle(order)
     for i in order:
         thinned = bits & ~(1 << i)
-        if all(m & thinned for m in by_vertex[i]):
+        if all(m & thinned for m in by_orbit[i]):
             bits = thinned
     return bits
 
@@ -295,7 +322,8 @@ def random_code(lattice: PeriodLattice, seed=None) -> PeriodicCode:
     whenever the result stays identifying, so every kept vertex is
     necessary.  Deterministic for a fixed seed.
     """
-    bits = _random_bits(lattice, _masks(lattice), random.Random(seed))
+    _, by_orbit = _clauses(lattice)
+    bits = _random_bits(lattice.domain_size, by_orbit, random.Random(seed))
     return PeriodicCode.from_bits(lattice, bits)
 
 

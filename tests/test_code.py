@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,22 @@ def test_text_rejects_garbage():
         PeriodicCode.from_text("")
 
 
+def test_code_file_streams_its_rows(tmp_path):
+    # 200000 rows of one orbit: each row is canonicalised into the member
+    # set as it is read, so memory does not grow with the file
+    path = tmp_path / "long.txt"
+    rows = "".join("%d 0 0\n" % k for k in range(200000))
+    path.write_text("period 1 1 0\n" + rows)
+    tracemalloc.start()
+    try:
+        c = PeriodicCode.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == PeriodicCode(PeriodLattice(1, 1), frozenset({Vertex(0, 0, 0)}))
+    assert peak < 4 << 20
+
+
 def test_members_canonicalized_on_build():
     lat = PeriodLattice(2, 2)
     c = PeriodicCode(lat, frozenset({Vertex(5, -3, 1)}))
@@ -152,6 +169,21 @@ def test_from_bits_keeps_the_domain_part_of_its_mask():
             c = PeriodicCode.from_bits(lat, bits)
             assert c.bits == bits & full_mask == PeriodicCode(lat, c.members).bits
             assert c.orbits() == {lat.index(v) for v in c.members}
+
+
+def test_from_bits_shares_the_lattice_vertices():
+    rng = random.Random(19)
+    for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(8, 1, 5)]:
+        assert lat.vertices == tuple(map(lat.vertex_at, range(lat.domain_size)))
+        assert lat.vertices is lat.vertices
+        for _ in range(20):
+            bits = rng.getrandbits(lat.domain_size)
+            c = PeriodicCode.from_bits(lat, bits)
+            slow = PeriodicCode(lat, frozenset(lat.vertex_at(i) for i in range(lat.domain_size) if bits >> i & 1))
+            assert c == slow and hash(c) == hash(slow)
+            assert c.members == slow.members and c.bits == slow.bits
+            # every member is the lattice's own vertex object for its orbit
+            assert all(v is lat.vertices[lat.index(v)] for v in c.members)
 
 
 def test_constraint_masks_are_nonempty_and_within_domain():

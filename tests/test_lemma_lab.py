@@ -9,6 +9,7 @@ The shell bounds were cross-checked against an exact cover search.
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,20 @@ def test_template_file_round_trip(tmp_path):
     save_template(tpl, path)
     again = load_template(path, name=tpl.name)
     assert again == tpl
+
+
+def test_window_file_streams_its_rows(tmp_path):
+    # the refusal at row UNIVERSE_CAP + 1 holds only the rows before it
+    path = tmp_path / "long.txt"
+    path.write_text("".join("%d 0 0 UNKNOWN\n" % a for a in range(200000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegionTooLarge, match="universe cap of %d" % ll.UNIVERSE_CAP):
+            load_template(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_parse_template_rejects_bad_rows():

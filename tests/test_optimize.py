@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hexident import optimize
-from hexident.code import thin_code
+from hexident.code import identifying_constraints, thin_code
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, neighbors
 from hexident.optimize import (
     DENSITY_CEILING,
@@ -235,6 +235,23 @@ def test_enumerate_counts_tiny_lattices():
     assert sum(1 for _ in enumerate_codes(PeriodLattice(1, 1, 0))) == 3
     assert sum(1 for _ in enumerate_codes(PeriodLattice(1, 2, 0))) == 9
     assert sum(1 for _ in enumerate_codes(PeriodLattice(2, 1, 0))) == 9
+
+
+def _reference_codes(lattice):
+    """The first enumeration, kept as reference: every mask of the domain
+    tested against every clause mask, members built from vertex_at."""
+    masks = [c.mask for c in identifying_constraints(lattice)]
+    for bits in range(1 << lattice.domain_size):
+        if all(bits & m for m in masks):
+            members = frozenset(lattice.vertex_at(i) for i in range(lattice.domain_size) if bits >> i & 1)
+            yield members, bits
+
+
+def test_enumerate_matches_the_mask_loop():
+    # the truth-table enumeration yields the same codes in the same order
+    for lat in list(all_lattices(12)) + [PeriodLattice(2, 4, 1)]:
+        got = [(c.members, c.bits) for c in enumerate_codes(lat)]
+        assert got == list(_reference_codes(lat)), lat
 
 
 def test_enumerate_yields_only_verified_codes():
