@@ -46,7 +46,8 @@ from hexident.optimize import SearchSpec, INFEASIBLE, density_scan, minimum_code
 
 
 # largest domain (2pq) a code file may declare: the clause compile and the
-# domain loops grow with it, so a bigger period exits 2 before either runs
+# domain loops grow with it, so a bigger period exits 2 at its period line,
+# before any row is read
 CODE_FILE_CAP = 20000
 
 
@@ -60,6 +61,21 @@ def _parse_bound(text: str) -> Fraction:
         return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bound must look like 12/29, got {text!r}")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_vertex(text: str) -> Vertex:
@@ -82,10 +98,9 @@ def _emit(text: str, args) -> None:
 
 
 def _load_code(path: str) -> PeriodicCode:
-    code = PeriodicCode.load(path)
-    if code.lattice.domain_size > CODE_FILE_CAP:
-        raise ValueError(f"domain size {code.lattice.domain_size} exceeds cap {CODE_FILE_CAP}")
-    return code
+    with open(path) as fh:
+        # refused at the period line, before any row is read
+        return PeriodicCode._read(fh, cap=CODE_FILE_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=sorted(LEMMA_IDS))
     p.add_argument("--template", help="built-in window name or a window file")
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_at_least(0), default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("shell", _cmd_shell, help="identifier partition bound around a cluster")
@@ -319,18 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--shear", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_at_least(0), default=None)
     p.add_argument("--witness-out", help="write the witness code file here")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("scan", _cmd_scan, help="density table over a lattice family, as CSV")
-    p.add_argument("--max-domain", type=int, required=True,
+    p.add_argument("--max-domain", type=_at_least(2), required=True,
                    help="include every lattice with 2pq up to this")
-    p.add_argument("--p-max", type=int, default=None)
+    p.add_argument("--p-max", type=_at_least(1), default=None)
     p.add_argument("--sizes", help="comma list; keep only these domain sizes")
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_at_least(0), default=None)
 
     return parser
 

@@ -110,7 +110,7 @@ class Classification:
     # -- component extraction --------------------------------------------
 
     def _build_clusters(self):
-        lat = self.code.lattice
+        domain = self.code.lattice.vertices
         inside = self.code.orbits()
         place = self._place
         # ascending orbit index is domain order
@@ -122,7 +122,7 @@ class Classification:
             # each class with the vertex at which the search met it
             placed = {}
             for j, (da, db) in at.items():
-                c = lat.vertex_at(j)
+                c = domain[j]
                 placed[c] = Vertex(c.a + da, c.b + db, c.s)
                 place[j] = (cid, da, db)
             classes = frozenset(placed)
@@ -184,7 +184,7 @@ class Classification:
         j = lat.index(w)
         if j not in self._place:
             raise ValueError(f"({w.a},{w.b},{w.s}) is not a code vertex")
-        c = lat.vertex_at(j)
+        c = lat.vertices[j]
         return self._instance(j, w.a - c.a, w.b - c.b)
 
     def instance_vertices(self, inst: Instance) -> frozenset[Vertex]:
@@ -211,7 +211,7 @@ class Classification:
     def instance_center(self, inst: Instance) -> Vertex:
         """The degree-2 vertex of a 3-cluster instance (a path by girth 6)."""
         j, a, b = self._center_node(inst)
-        c = self.code.lattice.vertex_at(j)
+        c = self.code.lattice.vertices[j]
         return Vertex(c.a + a, c.b + b, c.s)
 
     # -- shape labels ------------------------------------------------------

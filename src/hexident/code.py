@@ -171,17 +171,14 @@ class PeriodicCode:
         canon = frozenset(self.lattice.canonical(v) for v in self.members)
         object.__setattr__(self, "members", canon)
 
-    @property
+    @functools.cached_property
     def bits(self) -> int:
         """The members as a bitmask over orbit indices, built on first use:
         a huge domain costs nothing before a caller checks its size."""
-        got = self.__dict__.get("_bits")
-        if got is None:
-            got = 0
-            for v in self.members:
-                got |= 1 << self.lattice.index(v)
-            object.__setattr__(self, "_bits", got)
-        return got
+        bits = 0
+        for v in self.members:
+            bits |= 1 << self.lattice.index(v)
+        return bits
 
     @classmethod
     def _of(cls, lattice: PeriodLattice, members: frozenset[Vertex]) -> "PeriodicCode":
@@ -199,17 +196,17 @@ class PeriodicCode:
         built from masks on one lattice share one set of Vertex objects."""
         bits &= (1 << lattice.domain_size) - 1
         code = cls._of(lattice, frozenset(map(lattice.vertices.__getitem__, set_bits(bits))))
-        vars(code)["_bits"] = bits
+        vars(code)["bits"] = bits
         return code
+
+    @functools.cached_property
+    def _orbits(self) -> frozenset[int]:
+        return frozenset(set_bits(self.bits))
 
     def orbits(self) -> frozenset[int]:
         """The orbit indices of the members, built on the first call and
         shared by every later one."""
-        got = self.__dict__.get("_orbits")
-        if got is None:
-            got = frozenset(set_bits(self.bits))
-            object.__setattr__(self, "_orbits", got)
-        return got
+        return self._orbits
 
     def contains(self, v: Vertex) -> bool:
         return self.lattice.canonical(v) in self.members
@@ -255,17 +252,19 @@ class PeriodicCode:
 
     @classmethod
     def from_text(cls, text: str) -> "PeriodicCode":
-        return cls._read(text.splitlines())
+        return cls._read((text,))
 
     @classmethod
-    def _read(cls, lines: Iterable[str]) -> "PeriodicCode":
+    def _read(cls, chunks: Iterable[str], cap: int | None = None) -> "PeriodicCode":
         """The code of a 'period p q shear' line and one 'a b s' row per
-        member; blank lines and '#' comments are skipped.  Each row goes
-        into the member set as its orbit representative as soon as it is
-        read, so repeated rows cost no memory."""
+        member, from text given as chunks of whole lines: an open file, or
+        one string.  Blank lines and '#' comments are skipped.  Each row
+        goes into the member set as its orbit representative as soon as it
+        is read, so repeated rows cost no memory.  A period whose domain
+        exceeds cap is refused at its line, before any row is read."""
         lattice = None
         members = set()
-        for raw in lines:
+        for raw in (line for chunk in chunks for line in chunk.splitlines()):
             ln = raw.strip()
             if not ln or ln.startswith("#"):
                 continue
@@ -278,6 +277,8 @@ class PeriodicCode:
                     lattice = PeriodLattice(p, q, shear)
                 except ValueError as e:
                     raise ValueError(f"bad period line: {e}") from None
+                if cap is not None and lattice.domain_size > cap:
+                    raise ValueError(f"domain size {lattice.domain_size} exceeds cap {cap}")
                 continue
             if len(parts) != 3:
                 raise ValueError(f"bad vertex row: {ln!r}")
@@ -299,13 +300,12 @@ class PeriodicCode:
     @classmethod
     def load(cls, path) -> "PeriodicCode":
         with open(path) as fh:
-            # the lines from_text would split, one file line at a time
-            return cls._read(row for line in fh for row in line.splitlines())
+            return cls._read(fh)
 
 
 def full_code(lattice: PeriodLattice) -> PeriodicCode:
     """D = V; always identifying (closed neighborhoods are distinct)."""
-    return PeriodicCode(lattice, frozenset(lattice.domain()))
+    return PeriodicCode._of(lattice, frozenset(lattice.vertices))
 
 
 def tile(code: PeriodicCode, m1: int, m2: int) -> PeriodicCode:
@@ -314,12 +314,11 @@ def tile(code: PeriodicCode, m1: int, m2: int) -> PeriodicCode:
         raise ValueError("tile factors must be positive")
     old = code.lattice
     big = PeriodLattice(old.p * m1, old.q * m2, (old.shear * m2) % (old.p * m1))
-    members = frozenset(v for v in big.domain() if code.contains(v))
-    return PeriodicCode(big, members)
+    return PeriodicCode._of(big, frozenset(v for v in big.vertices if code.contains(v)))
 
 
 def thin_code(code: PeriodicCode, removals: Iterable[Vertex]) -> PeriodicCode:
     members = set(code.members)
     for v in removals:
         members.discard(code.lattice.canonical(v))
-    return PeriodicCode(code.lattice, frozenset(members))
+    return PeriodicCode._of(code.lattice, frozenset(members))

@@ -87,7 +87,7 @@ class ChargeLedger:
         """The charges as {domain vertex: Fraction}, one Fraction per value."""
         fracs: dict = {}
         out = {}
-        for v, n in zip(self.code.lattice.domain(), self.charge):
+        for v, n in zip(self.code.lattice.vertices, self.charge):
             f = fracs.get(n)
             if f is None:
                 f = fracs[n] = Fraction(n, self.denom)
@@ -104,9 +104,9 @@ class ChargeLedger:
         (donor cid, recipient cid, donor da, donor db).
         """
         cls = self.classification
-        vertex_at, denom = self.code.lattice.vertex_at, self.denom
+        vertices, denom = self.code.lattice.vertices, self.denom
         flows = {cl.cid: 0 for cl in cls.clusters if cls.is_open3(cl.cid)}
-        owner = {vertex_at(j): cid for cid in flows for j in cls.cluster_orbits(cid)}
+        owner = {vertices[j]: cid for cid in flows for j in cls.cluster_orbits(cid)}
         spent: Counter = Counter()
         paid = set()
         for t in self.transfers:
@@ -199,7 +199,7 @@ def _rule1(code: PeriodicCode, target: Fraction, denom: int) -> tuple[list[int],
     """Rule 1: each non-code vertex takes target/k from each of its k code
     neighbors.  Returns the charge numerators over denom by orbit index,
     from one unit per code vertex, and the transfers."""
-    domain = list(code.lattice.domain())
+    domain = code.lattice.vertices
     inside = code.orbits()
     pay = _rule1_pay(target, denom)
     charge = [denom if i in inside else 0 for i in range(len(domain))]
@@ -287,10 +287,10 @@ def audit(ledger: ChargeLedger, bound: Fraction) -> AuditReport:
     scale, floor = bound.denominator, bound.numerator * ledger.denom
     failures = []
     inside = ledger.code.orbits()
-    vertex_at = ledger.code.lattice.vertex_at
+    vertices = ledger.code.lattice.vertices
     for i, n in enumerate(ledger.charge):
         if i not in inside and n * scale < floor:
-            failures.append((vertex_at(i), Fraction(n, ledger.denom)))
+            failures.append((vertices[i], Fraction(n, ledger.denom)))
     for cl in ledger.classification.clusters:
         n = ledger._units(cl.cid)
         if n * scale < floor * len(cl.classes):

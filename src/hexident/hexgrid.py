@@ -20,11 +20,12 @@ and (shear, q) acting on cells.  Its fundamental domain holds the
 2*p*q vertices with 0 <= a < p, 0 <= b < q, numbered by index(); the
 orbit of a vertex is the domain vertex it translates onto.  Every vertex
 of the infinite grid is then one pair (orbit index, cell offset): the
-domain vertex of that index shifted by the offset.  The lattice keeps its
-domain vertices as one tuple in index order, which the codes built from
-bit masks share.  The lattice's table, compiled once on first use, lists
-the three neighbours of each orbit in that form, so code that walks the
-grid of a periodic set follows integer lookups instead of canonicalising
+domain vertex of that index shifted by the offset.  index() defines
+domain order and vertex_at() inverts it; vertices caches vertex_at() in
+that order, domain() iterates it, and codes, cluster labels and ledgers
+index it.  The lattice's table, compiled once on first use, lists the
+three neighbours of each orbit in that form, so code that walks the grid
+of a periodic set follows integer lookups instead of canonicalising
 every vertex it meets: the clause compile and the cluster labels walk
 clause_pattern's steps through it.
 """
@@ -126,34 +127,33 @@ class PeriodLattice:
         return Vertex(a, b, s)
 
     def index(self, v: Vertex) -> int:
-        """Dense index of v's orbit in [0, 2*p*q)."""
+        """Dense index of v's orbit in [0, 2*p*q): domain order."""
         a, b, s = self.canonical(v)
         return (a * self.q + b) * 2 + s
 
     def vertex_at(self, index: int) -> Vertex:
+        """The domain vertex of an orbit index: the inverse of index()."""
         cell, s = divmod(index, 2)
         a, b = divmod(cell, self.q)
         return Vertex(a, b, s)
-
-    def domain(self) -> Iterator[Vertex]:
-        for a in range(self.p):
-            for b in range(self.q):
-                yield Vertex(a, b, 0)
-                yield Vertex(a, b, 1)
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
         """The domain vertices in index order, built on first use:
         vertices[i] is vertex_at(i), one shared object per orbit."""
-        return tuple(self.domain())
+        return tuple(map(self.vertex_at, range(self.domain_size)))
+
+    def domain(self) -> Iterator[Vertex]:
+        """The domain vertices in index order."""
+        return iter(self.vertices)
 
     @cached_property
     def table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """The neighbours of every orbit, built on first use.
 
-        table[i] holds one (j, da, db) per neighbour w of vertex_at(i), in
+        table[i] holds one (j, da, db) per neighbour w of vertices[i], in
         neighbors() order: j is w's orbit index and (da, db) the cell
-        offset of w from vertex_at(j).  All three entries are kept when
+        offset of w from vertices[j].  All three entries are kept when
         two neighbours share an orbit.  Translating, the vertex of orbit i
         at offset (a, b) has its neighbours at (j, a + da, b + db).
         """
@@ -165,13 +165,13 @@ class PeriodLattice:
             ca = (a - k * shear) % p
             return ((ca * q + b - k * q) * 2 + s, a - ca, k * q)
 
-        rows = []
-        for a in range(p):
-            for b in range(q):
-                # neighbors() of (a, b, 0) and (a, b, 1), in its order
-                rows.append((entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1)))
-                rows.append((entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0)))
-        return tuple(rows)
+        # neighbors() of each domain vertex, in its order
+        return tuple(
+            (entry(a, b, 0), entry(a + 1, b, 0), entry(a, b + 1, 0))
+            if s
+            else (entry(a, b, 1), entry(a - 1, b, 1), entry(a, b - 1, 1))
+            for a, b, s in self.vertices
+        )
 
 
 def lattices_of_size(size: int, p_max: int | None = None) -> Iterator[PeriodLattice]:

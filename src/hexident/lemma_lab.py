@@ -67,8 +67,6 @@ GROWTH_MARGIN = REACH - 1
 
 _STATUSES = (IN, OUT, UNKNOWN)
 
-LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5partition")
-
 
 class RegionTooLarge(ValueError):
     """The window exceeds the universe cap or the enumeration cap."""
@@ -549,26 +547,25 @@ class _Engine:
 
     # -- search ------------------------------------------------------------
 
-    def _pick(self) -> int:
-        """The first undecided window vertex, in region order, with the most
-        decided neighbors; -1 when every window vertex is decided."""
+    def _pick(self, cands: int) -> int:
+        """The branch rule of the window search and the certify search: of
+        a mask of undecided vertices, the one with the most decided
+        neighbors, the least index on a tie; -1 when the mask is empty."""
         best = -1
         best_score = -1
         dec = self.dec
         nbmask = self.nbmask
-        # region order is index order, so the undecided free vertices are
-        # visited lowest bit first
-        und = self._free_mask & ~dec
-        while und:
-            low = und & -und
+        # visited lowest bit first, so only a higher score replaces best
+        while cands:
+            low = cands & -cands
             i = low.bit_length() - 1
             score = (nbmask[i] & dec).bit_count()
             if score > best_score:
-                if score == 3:  # no vertex has more
+                if score == 3:  # all three neighbors of an undecided vertex
                     return i
                 best = i
                 best_score = score
-            und ^= low
+            cands ^= low
         return best
 
     def search(self, on_leaf, try_prune=None, node_cap: Optional[int] = None) -> None:
@@ -608,7 +605,8 @@ class _Engine:
             if self.aborted:
                 return
             if not settled:
-                i = self._pick()
+                # region order is index order, so a tie goes to the first
+                i = self._pick(self._free_mask & ~self.dec)
                 if i < 0:
                     yield
                 else:
@@ -877,8 +875,6 @@ class _LemmaState:
     each lemma cuts zone_mask, where candidate clusters are counted, from
     those balls."""
 
-    lemma_id = ""
-
     def __init__(self, eng: _Engine, anchors: Sequence[_Comp]):
         self.eng = eng
         self.anchors = tuple(anchors)
@@ -896,9 +892,9 @@ class _LemmaState:
     def refuted(self) -> bool:
         return False
 
-    def influence(self) -> List[int]:
-        """Branch candidates for the certify search, most promising first:
-        the undecided zone vertices, the frontier and closure slots of every
+    def influence(self) -> int:
+        """Branch candidates for the certify search, as a mask: the
+        undecided zone vertices, the frontier and closure slots of every
         component, and the distance-two slots of the pinned clusters."""
         eng = self.eng
         cands = self.zone_mask
@@ -907,8 +903,7 @@ class _LemmaState:
         for a in self.anchors:
             for slots in a.witness:
                 cands |= slots
-        dec = eng.dec
-        return sorted(set_bits(cands & ~dec), key=lambda i: (-(eng.nbmask[i] & dec).bit_count(), i))
+        return cands & ~eng.dec
 
     def prune(self, eng: _Engine) -> bool:
         """Internal-node settlement: the whole subtree is fine."""
@@ -941,8 +936,10 @@ _CERTIFY_NODES = 6000
 def _certify(state: _LemmaState, depth: int = _CERTIFY_DEPTH,
              budget: Optional[List[int]] = None) -> bool:
     """True when every completion of the current assignment satisfies the
-    lemma (hypothesis fails or conclusion holds).  Branches undecided
-    influence vertices, each branch feasible (see _Engine.assign)."""
+    lemma (hypothesis fails or conclusion holds).  Branches on one
+    influence vertex, chosen by the window search's own rule
+    (_Engine._pick), each branch feasible (see _Engine.assign); not
+    certified when no candidate is left."""
     eng = state.eng
     if budget is None:
         budget = [_CERTIFY_NODES]
@@ -955,10 +952,9 @@ def _certify(state: _LemmaState, depth: int = _CERTIFY_DEPTH,
         return True
     if depth <= 0:
         return False
-    cands = state.influence()
-    if not cands:
+    f = eng._pick(state.influence())
+    if f < 0:
         return False
-    f = cands[0]
     for val in (True, False):
         m = eng.mark()
         eng.assign(f, val)
@@ -973,8 +969,6 @@ class _L1State(_LemmaState):
     """A lone uncrowded code vertex is nearby a 3+-cluster: within distance
     three of a 4+-cluster or closed 3-cluster, or within distance three of
     the open center of a 3-cluster."""
-
-    lemma_id = "L1"
 
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
@@ -1035,8 +1029,6 @@ class _L1State(_LemmaState):
 class _L2State(_LemmaState):
     """A closed 3-cluster has at most ten nearby 1-clusters and open
     3-clusters, and exactly ten forces it to be crowded."""
-
-    lemma_id = "L2"
 
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
@@ -1132,8 +1124,6 @@ class _L3State(_ThreatState):
     3+-cluster.  Needy: threatened, with at least four nearby threatened
     1-clusters and threatened 3-clusters."""
 
-    lemma_id = "L3"
-
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
         self.anchor = self.anchors[0]
@@ -1182,9 +1172,9 @@ class _L3State(_ThreatState):
 class _L4State(_ThreatState):
     """Two paired uncrowded open 3-clusters have at most seven nearby
     threatened 1-clusters and threatened 3-clusters; exactly seven forces a
-    nearby closed 3-cluster or 4+-cluster."""
-
-    lemma_id = "L4"
+    nearby closed 3-cluster or 4+-cluster.  It claims no refutation: showing
+    that seven candidates are all genuinely threatened would need their
+    surroundings decided out to distance six, which no window provides."""
 
     def __init__(self, eng, anchors):
         super().__init__(eng, anchors)
@@ -1210,12 +1200,6 @@ class _L4State(_ThreatState):
         if u <= 6:
             return True
         return u <= 7 and self._big_nearby_certain(comps)
-
-    def refuted(self) -> bool:
-        # establishing that seven candidates are all genuinely threatened
-        # would need their surroundings decided out to distance six;
-        # windows never provide that, so no refutation is claimed
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1244,9 +1228,27 @@ class LemmaVerdict:
         }
 
 
-_DEFAULT_TEMPLATE = {"L1": "fig3a", "L2": "fig3b", "L3": "fig4", "L4": "fig5"}
+class _Lemma(NamedTuple):
+    """One window lemma: its state class, default window, and the number,
+    size and description of the pinned clusters it is about."""
 
-_STATE_BY_LEMMA = {"L1": _L1State, "L2": _L2State, "L3": _L3State, "L4": _L4State}
+    state: type
+    template: str
+    anchors: int
+    size: int
+    wanted: str
+
+
+_LEMMAS = {
+    "L1": _Lemma(_L1State, "fig3a", 1, 1, "one sealed lone code vertex"),
+    "L2": _Lemma(_L2State, "fig3b", 1, 3, "one 3-cluster with its neighbors pinned OUT"),
+    "L3": _Lemma(_L3State, "fig4", 1, 3, "one 3-cluster with its neighbors pinned OUT"),
+    "L4": _Lemma(_L4State, "fig5", 2, 3, "two 3-clusters with their neighbors pinned OUT"),
+}
+
+LEMMA_IDS = tuple(_LEMMAS) + ("L5partition",)
+
+_DEFAULT_TEMPLATE = {lemma_id: row.template for lemma_id, row in _LEMMAS.items()}
 
 
 def _radius_window(lemma_id: str, radius: int) -> Template:
@@ -1295,12 +1297,15 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
     With a template (default: the built-in window for the lemma) the pinned
     window is enumerated; with a radius, a ball window around the pins of
     the default window is used instead.  Either must seal the lemma's
-    clusters (see _make_state).  L5partition ignores templates and sweeps
-    cluster shapes up to the given size (default 8, at most SHAPE_CAP).
+    clusters (see _make_state).  L5partition sweeps cluster shapes up to
+    the size given as radius (default 8, at most SHAPE_CAP); it has no
+    window, so it refuses a template and a node cap.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError("unknown lemma %r" % (lemma_id,))
     if lemma_id == "L5partition":
+        if template is not None or node_cap is not None:
+            raise ValueError("L5partition sweeps cluster shapes; it takes no template or node cap")
         size = 8 if radius is None else radius
         if not 1 <= size <= SHAPE_CAP:
             raise ValueError("L5partition sweeps shape sizes 1 to %d, not %d" % (SHAPE_CAP, size))
@@ -1331,28 +1336,19 @@ def check_lemma(lemma_id: str, radius: Optional[int] = None,
 
     eng.search(on_leaf, try_prune=try_prune, node_cap=node_cap)
 
+    result, note = VERIFIED, ""
     if not eng.base_ok:
-        return LemmaVerdict(
-            lemma_id, VERIFIED, radius, tpl.name, 0,
-            note="the pinned window admits no feasible assignment at all",
-        )
-    if counterexample:
-        return LemmaVerdict(
-            lemma_id, COUNTEREXAMPLE, radius, tpl.name, settled[0], counterexample[0],
-            note="advisory: the window refutes the conclusion with decided "
-                 "vertices only; re-run with a larger window",
-        )
-    if eng.aborted:
-        return LemmaVerdict(
-            lemma_id, INCONCLUSIVE, radius, tpl.name, settled[0],
-            note="node cap reached after %d search nodes" % eng.nodes,
-        )
-    if open_configs[0]:
-        return LemmaVerdict(
-            lemma_id, INCONCLUSIVE, radius, tpl.name, settled[0],
-            note="%d window assignments left the conclusion open" % open_configs[0],
-        )
-    return LemmaVerdict(lemma_id, VERIFIED, radius, tpl.name, settled[0])
+        note = "the pinned window admits no feasible assignment at all"
+    elif counterexample:
+        result = COUNTEREXAMPLE
+        note = ("advisory: the window refutes the conclusion with decided "
+                "vertices only; re-run with a larger window")
+    elif eng.aborted:
+        result, note = INCONCLUSIVE, "node cap reached after %d search nodes" % eng.nodes
+    elif open_configs[0]:
+        result, note = INCONCLUSIVE, "%d window assignments left the conclusion open" % open_configs[0]
+    return LemmaVerdict(lemma_id, result, radius, tpl.name, settled[0],
+                        counterexample[0] if counterexample else None, note)
 
 
 def _settle(state: _LemmaState) -> str:
@@ -1364,27 +1360,18 @@ def _settle(state: _LemmaState) -> str:
     return COUNTEREXAMPLE if state.refuted() else INCONCLUSIVE
 
 
-_ANCHORS_WANTED = {
-    "L1": "one sealed lone code vertex",
-    "L2": "one 3-cluster with its neighbors pinned OUT",
-    "L3": "one 3-cluster with its neighbors pinned OUT",
-    "L4": "two 3-clusters with their neighbors pinned OUT",
-}
-
-
 def _make_state(lemma_id: str, eng: _Engine) -> _LemmaState:
     """The lemma's state on the engine.  Its anchors are the pinned-IN
-    clusters the lemma is about, each a component of pinned-IN vertices
-    whose neighbors are all pinned OUT: for L1 a lone vertex, for L2 and L3
-    one 3-cluster, for L4 two.  The pinned neighbors are seeds of the
-    universe, which reaches GROWTH_MARGIN past them, so every zone and ball
-    the lemma reads lies inside it."""
-    size = 1 if lemma_id == "L1" else 3
+    clusters the lemma's row in _LEMMAS asks for, each a component of
+    pinned-IN vertices whose neighbors are all pinned OUT.  The pinned
+    neighbors are seeds of the universe, which reaches GROWTH_MARGIN past
+    them, so every zone and ball the lemma reads lies inside it."""
+    row = _LEMMAS[lemma_id]
     anchors = [a for a in eng.split(eng.pinned_in)
-               if len(a.members) == size and not a.rim & ~eng.pinned_out]
-    if len(anchors) != (2 if lemma_id == "L4" else 1):
-        raise ValueError("window must pin exactly " + _ANCHORS_WANTED[lemma_id])
-    return _STATE_BY_LEMMA[lemma_id](eng, anchors)
+               if len(a.members) == row.size and not a.rim & ~eng.pinned_out]
+    if len(anchors) != row.anchors:
+        raise ValueError("window must pin exactly " + row.wanted)
+    return row.state(eng, anchors)
 
 
 # ---------------------------------------------------------------------------

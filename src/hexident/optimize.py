@@ -211,14 +211,6 @@ class _Search:
             self._node(*state, tiers, free_occ)
 
 
-def _sublattice_mask(lattice: PeriodLattice, s: int) -> int:
-    out = 0
-    for v in lattice.domain():
-        if v.s == s:
-            out |= 1 << lattice.index(v)
-    return out
-
-
 def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
     """Smallest identifying code with exactly the period of spec.lattice.
 
@@ -238,9 +230,11 @@ def minimum_code(spec: SearchSpec, node_cap: int | None = None) -> SearchResult:
     try:
         if spec.symmetry_reduction:
             # every nonempty code translates onto one that contains the
-            # origin of whichever sublattice it meets
-            search.run(1 << lattice.index(Vertex(0, 0, 0)), 0)
-            search.run(1 << lattice.index(Vertex(0, 0, 1)), _sublattice_mask(lattice, 0))
+            # origin of whichever sublattice it meets; orbit i lies on
+            # sublattice i & 1, so orbits 0 and 1 are the two origins and
+            # the even bits, ((1 << n) - 1) // 3, are sublattice 0
+            search.run(1, 0)
+            search.run(2, ((1 << n) - 1) // 3)
         else:
             search.run(0, 0)
     except _Stop:

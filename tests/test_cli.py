@@ -276,6 +276,54 @@ def test_oversized_window_file_fails_while_parsing(capsys, monkeypatch, tmp_path
 
 
 # ---------------------------------------------------------------------------
+# hostile arguments
+
+
+_HOSTILE = [
+    ("search-budget", ["search", "--p", "2", "--q", "2", "--budget", "-1"],
+     "--budget: must be at least 0, got -1"),
+    ("search-node-cap", ["search", "--p", "2", "--q", "2", "--node-cap", "-5"],
+     "--node-cap: must be at least 0, got -5"),
+    ("search-node-cap-word", ["search", "--p", "2", "--q", "2", "--node-cap", "many"],
+     "--node-cap: expected an integer"),
+    ("scan-max-domain", ["scan", "--max-domain", "-3"], "--max-domain: must be at least 2, got -3"),
+    ("scan-max-domain-1", ["scan", "--max-domain", "1"], "--max-domain: must be at least 2, got 1"),
+    ("scan-node-cap", ["scan", "--max-domain", "8", "--node-cap", "-1"],
+     "--node-cap: must be at least 0, got -1"),
+    ("scan-p-max", ["scan", "--max-domain", "8", "--p-max", "0"], "--p-max: must be at least 1, got 0"),
+    ("check-lemma-node-cap", ["check-lemma", "--id", "L1", "--node-cap", "-1"],
+     "--node-cap: must be at least 0, got -1"),
+    ("L5partition-template", ["check-lemma", "--id", "L5partition", "--template", "fig5"],
+     "L5partition sweeps cluster shapes"),
+    ("L5partition-node-cap", ["check-lemma", "--id", "L5partition", "--node-cap", "3"],
+     "L5partition sweeps cluster shapes"),
+]
+
+
+@pytest.mark.parametrize("argv,needle", [row[1:] for row in _HOSTILE], ids=[row[0] for row in _HOSTILE])
+def test_hostile_arguments_are_usage_errors(capsys, monkeypatch, argv, needle):
+    def never(*args, **kwargs):
+        raise AssertionError("a hostile argument reached the search")
+
+    for name in ("minimum_code", "density_scan"):
+        monkeypatch.setattr(hexident.cli, name, never)
+    for name in ("_check_partition", "_Engine"):
+        monkeypatch.setattr(lemma_lab, name, never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
+def test_least_accepted_arguments_still_run(capsys):
+    code, out, _ = run(capsys, "search", "--p", "1", "--q", "1", "--budget", "0")
+    assert (code, out.split()[0]) == (1, "INFEASIBLE")
+    code, out, _ = run(capsys, "search", "--p", "2", "--q", "2", "--node-cap", "0")
+    assert code == 0 and "optimal=False" in out
+    code, out, _ = run(capsys, "scan", "--max-domain", "2", "--p-max", "1", "--node-cap", "0")
+    assert code == 0 and out.splitlines()[1] == "1,1,0,1,1/2,1,False"
+
+
+# ---------------------------------------------------------------------------
 # search and scan
 
 
@@ -366,6 +414,24 @@ def test_oversized_code_file_fails_before_any_work(capsys, monkeypatch, tmp_path
     assert (code, out) == (2, "")
     assert "domain size 800000000 exceeds cap 20000" in err
     assert peak < 4 << 20
+
+
+def test_code_file_refused_at_its_period_line(capsys, tmp_path):
+    # a million distinct rows after the period line: none of them is read
+    path = tmp_path / "huge.txt"
+    with open(path, "w") as fh:
+        fh.write("period 20000 20000 0\n")
+        for k in range(0, 1_000_000, 1000):
+            fh.write("".join("%d %d 0\n" % (j % 20000, j // 20000) for j in range(k, k + 1000)))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--code", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "domain size 800000000 exceeds cap 20000\n"
+    assert peak < 2 << 20
 
 
 def test_output_flag_writes_file(capsys, tmp_path, witness):

@@ -174,7 +174,8 @@ def test_from_bits_keeps_the_domain_part_of_its_mask():
 def test_from_bits_shares_the_lattice_vertices():
     rng = random.Random(19)
     for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(8, 1, 5)]:
-        assert lat.vertices == tuple(map(lat.vertex_at, range(lat.domain_size)))
+        assert all(lat.index(v) == i for i, v in enumerate(lat.vertices))
+        assert list(lat.vertices) == sorted(lat.vertices) and len(lat.vertices) == lat.domain_size
         assert lat.vertices is lat.vertices
         for _ in range(20):
             bits = rng.getrandbits(lat.domain_size)

@@ -843,3 +843,44 @@ def test_tally_looks_up_no_orbit_index(monkeypatch):
         assert want[0] == {cl.cid: _ref_outflow(led, cl) for cl in cls.clusters if cls.is_open3(cl.cid)}
         flowing += any(want[0].values())
     assert flowing
+
+
+def _translate(code, da, db):
+    return PeriodicCode(code.lattice, frozenset(Vertex(v.a + da, v.b + db, v.s) for v in code.members))
+
+
+def _presentation_free(code):
+    """What the main ledger of a code should say whichever translate
+    presents it: the multiset of (infinite, classes, cluster total), the
+    open 3-clusters' outflows, and the audit and claims verdicts."""
+    ledger = run_main(code)
+    totals = Counter(
+        (cl.infinite, len(cl.classes), ledger.cluster_total(cl.cid)) for cl in ledger.classification.clusters
+    )
+    return totals, sorted(ledger.tally[0].values()), audit(ledger, MAIN_TARGET).ok, claims_report(ledger)["ok"]
+
+
+def test_ledgers_are_translation_invariant_on_small_domains():
+    # every nontrivial cell translate of every identifying code with
+    # 2pq <= 10: 2777 codes, 10026 translates
+    codes = translates = 0
+    for lat in all_lattices(10):
+        for code in enumerate_codes(lat):
+            want = _presentation_free(code)
+            for da in range(lat.p):
+                for db in range(lat.q):
+                    if da or db:
+                        assert _presentation_free(_translate(code, da, db)) == want, (code, da, db)
+                        translates += 1
+            codes += 1
+    assert (codes, translates) == (2777, 10026)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: _donor_key breaks a tie between rule-2 donors by least "
+                          "coordinates, so a translate moves one rescue between clusters")
+def test_translate_keeps_the_rule2_donor():
+    # the tied rescue moves from the infinite cluster to the 4-cluster,
+    # whose total goes 68/29 -> 67/29; both audits still pass
+    code = random_code(PeriodLattice(5, 2, 4), seed=2)
+    assert _presentation_free(_translate(code, 0, 1)) == _presentation_free(code)

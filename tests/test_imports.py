@@ -33,6 +33,15 @@ def test_module_imports_only_the_standard_library(path):
     assert sorted(set(_imported_roots(path)) - ALLOWED) == []
 
 
+def test_every_source_parses_as_python_3_10():
+    # the package supports Python 3.10 (pyproject.toml); the grammar check
+    # runs on any newer interpreter
+    files = [*SRC.rglob("*.py"), *BENCH.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _bound_names(path):
     """Every name a def, class, assignment, loop or with target, import
     alias, except clause or argument binds in the module."""
