@@ -78,6 +78,19 @@ def _at_least(low: int):
     return parse
 
 
+def _domain_sizes(text: str) -> list[int]:
+    """An argparse type: a comma list of domain sizes 2pq, ascending and
+    without repeats."""
+    try:
+        sizes = sorted({int(part) for part in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+    for size in sizes:
+        if size < 2 or size % 2:
+            raise argparse.ArgumentTypeError(f"a domain size 2pq is even and at least 2, got {size}")
+    return sizes
+
+
 def _parse_vertex(text: str) -> Vertex:
     try:
         a, b, s = (int(part) for part in text.split(","))
@@ -257,10 +270,9 @@ def _cmd_search(args) -> int:
 def _cmd_scan(args) -> int:
     family = all_lattices(args.max_domain, p_max=args.p_max)
     if args.sizes:
-        wanted = sorted({int(part) for part in args.sizes.split(",")})
-        family = (
-            lat for size in wanted if size <= args.max_domain for lat in lattices_of_size(size, args.p_max)
-        )
+        if args.sizes[-1] > args.max_domain:
+            raise ValueError(f"--sizes {args.sizes[-1]} exceeds --max-domain {args.max_domain}")
+        family = (lat for size in args.sizes for lat in lattices_of_size(size, args.p_max))
     rows = density_scan(family, node_cap=args.node_cap)
     _emit(scan_csv(rows), args)
     bad = [r for r in rows if r.critical]
@@ -344,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-domain", type=_at_least(2), required=True,
                    help="include every lattice with 2pq up to this")
     p.add_argument("--p-max", type=_at_least(1), default=None)
-    p.add_argument("--sizes", help="comma list; keep only these domain sizes")
+    p.add_argument("--sizes", type=_domain_sizes,
+                   help="comma list of even sizes up to --max-domain; keep only these domain sizes")
     p.add_argument("--node-cap", type=_at_least(0), default=None)
 
     return parser

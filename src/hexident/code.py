@@ -2,12 +2,12 @@
 
 A PeriodicCode is a lattice-periodic subset D of the infinite grid,
 stored as the set of orbit representatives inside one fundamental
-domain.  All predicates are evaluated on the infinite grid: a vertex is
-looked up by its orbit, and the clauses below are walked out on infinite
-vertices before they are read as orbits.  Nothing here quotients the
-grid to a torus, so tiny periods behave correctly (orbit-mates at
-distance <= 2 are genuinely distinct vertices and must carry distinct
-identifiers).
+domain, as a mask over their orbit indices, or as both.  All predicates
+are evaluated on the infinite grid: a vertex is looked up by its orbit,
+and the clauses below are walked out on infinite vertices before they
+are read as orbits.  Nothing here quotients the grid to a torus, so
+tiny periods behave correctly (orbit-mates at distance <= 2 are
+genuinely distinct vertices and must carry distinct identifiers).
 
 The verifier compiles, once per lattice, a list of positive clauses
 over orbit classes:
@@ -162,7 +162,13 @@ def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
 
 @dataclass(frozen=True)
 class PeriodicCode:
-    """Lattice-periodic vertex set given by canonical members."""
+    """Lattice-periodic vertex set given by canonical members.
+
+    A code holds its members, its orbit mask `bits`, or both.  A code
+    built from members builds `bits` the first time it is read; a code
+    built by from_bits builds `members` the first time it is read.  Each
+    is then kept.  Equality, hashing and repr read `members`.
+    """
 
     lattice: PeriodLattice
     members: frozenset[Vertex]
@@ -170,6 +176,15 @@ class PeriodicCode:
     def __post_init__(self):
         canon = frozenset(self.lattice.canonical(v) for v in self.members)
         object.__setattr__(self, "members", canon)
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails, so only for the members of
+        # a code that from_bits made and nothing has read them yet
+        if name != "members" or "bits" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        members = frozenset(map(self.lattice.vertices.__getitem__, set_bits(self.bits)))
+        vars(self)["members"] = members
+        return members
 
     @functools.cached_property
     def bits(self) -> int:
@@ -192,11 +207,13 @@ class PeriodicCode:
     def from_bits(cls, lattice: PeriodLattice, bits: int) -> "PeriodicCode":
         """The code of a mask; bits at or above the domain size are ignored.
 
-        The members are the lattice's own domain vertices, so all the codes
-        built from masks on one lattice share one set of Vertex objects."""
+        The code stores only its lattice and its mask.  Its members are
+        built the first time they are read, from the lattice's own domain
+        vertices, so all the codes built from masks on one lattice share
+        one set of Vertex objects."""
         bits &= (1 << lattice.domain_size) - 1
-        code = cls._of(lattice, frozenset(map(lattice.vertices.__getitem__, set_bits(bits))))
-        vars(code)["bits"] = bits
+        code = object.__new__(cls)
+        vars(code).update(lattice=lattice, bits=bits)
         return code
 
     @functools.cached_property

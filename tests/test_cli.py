@@ -291,6 +291,14 @@ _HOSTILE = [
     ("scan-node-cap", ["scan", "--max-domain", "8", "--node-cap", "-1"],
      "--node-cap: must be at least 0, got -1"),
     ("scan-p-max", ["scan", "--max-domain", "8", "--p-max", "0"], "--p-max: must be at least 1, got 0"),
+    ("scan-sizes-odd", ["scan", "--max-domain", "8", "--sizes", "3,5"],
+     "--sizes: a domain size 2pq is even and at least 2, got 3"),
+    ("scan-sizes-not-positive", ["scan", "--max-domain", "8", "--sizes=-4,0"],
+     "--sizes: a domain size 2pq is even and at least 2, got -4"),
+    ("scan-sizes-word", ["scan", "--max-domain", "8", "--sizes", "2,x"],
+     "--sizes: expected a comma list of integers, got '2,x'"),
+    ("scan-sizes-over-max-domain", ["scan", "--max-domain", "8", "--sizes", "10"],
+     "--sizes 10 exceeds --max-domain 8"),
     ("check-lemma-node-cap", ["check-lemma", "--id", "L1", "--node-cap", "-1"],
      "--node-cap: must be at least 0, got -1"),
     ("L5partition-template", ["check-lemma", "--id", "L5partition", "--template", "fig5"],

@@ -1,6 +1,8 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -14,7 +16,9 @@ from hexident.code import (
     thin_code,
     tile,
 )
+from hexident.discharge import audit, claims_report, run_main, run_prop1
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, closed_neighborhood, neighbors
+from hexident.optimize import SearchSpec, brute_force_minimum, enumerate_codes, minimum_code, random_code
 
 # the 8400-vertex lattice of the 3/7 witness tiled 20 x 30 times
 TILED_WITNESS = PeriodLattice(140, 30, 30)
@@ -185,6 +189,61 @@ def test_from_bits_shares_the_lattice_vertices():
             assert c.members == slow.members and c.bits == slow.bits
             # every member is the lattice's own vertex object for its orbit
             assert all(v is lat.vertices[lat.index(v)] for v in c.members)
+
+
+def test_from_bits_builds_members_on_first_read():
+    rng = random.Random(22)
+    for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(8, 1, 5)]:
+        for _ in range(20):
+            c = PeriodicCode.from_bits(lat, rng.getrandbits(lat.domain_size + 3))
+            assert set(vars(c)) == {"lattice", "bits"}
+            members = c.members
+            assert members == {lat.vertices[i] for i in c.orbits()}
+            assert vars(c)["members"] is members and c.members is members
+    with pytest.raises(AttributeError, match="no attribute 'member'"):
+        PeriodicCode.from_bits(PeriodLattice(1, 1), 1).member
+
+
+def test_enumerated_corpus_holds_only_masks():
+    # every identifying code with 2pq <= 12, held at once as the acceptance
+    # corpus holds them: 17.1 MiB when each code kept a member frozenset
+    tracemalloc.start()
+    try:
+        codes = [code for lat in all_lattices(12) for code in enumerate_codes(lat)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == 18014
+    assert held < 8 << 20
+    assert not any("members" in vars(c) for c in codes)
+    # the same (lattice, bits, members) in the same order as when each code
+    # was built with its members
+    digest = hashlib.sha256()
+    for c in codes:
+        digest.update(repr((c.lattice, c.bits, sorted(c.members))).encode())
+    assert digest.hexdigest() == "89bff32e431a5ef74f1efb71ac3ae23c5ac791160dfe76c89a64ec7eb42f0d3e"
+    assert all(v is c.lattice.vertices[c.lattice.index(v)] for c in codes for v in c.members)
+
+
+def test_ledgers_leave_members_unbuilt():
+    lat = PeriodLattice(7, 1, 3)
+    codes = [
+        random_code(lat, seed=1),
+        random_code(PeriodLattice(5, 2, 4), seed=2),
+        minimum_code(SearchSpec(lat)).witness,
+        brute_force_minimum(PeriodLattice(3, 2, 1))[1],
+        *islice(enumerate_codes(PeriodLattice(2, 3, 1)), 0, None, 7),
+    ]
+    for c in codes:
+        assert "members" not in vars(c)
+        assert c.verify() == []
+        prop1 = run_prop1(c)
+        assert audit(prop1, Fraction(2, 5)).ok
+        ledger = run_main(c)
+        assert audit(ledger, Fraction(12, 29)).ok
+        assert claims_report(ledger)["ok"]
+        assert "members" not in vars(c), c.lattice
+        assert c.size() == c.bits.bit_count() and "members" in vars(c)
 
 
 def test_constraint_masks_are_nonempty_and_within_domain():
