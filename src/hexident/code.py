@@ -242,8 +242,13 @@ class PeriodicCode:
         """All violations of the identifying-code property, or [] if valid.
 
         Reported pairs are translation-canonical and the list order is
-        deterministic.
+        deterministic.  The clauses are tested on the first call only;
+        every call returns a new list.
         """
+        return list(self._violations)
+
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
         inside = self.orbits()
         out = []
         for c in identifying_constraints(self.lattice):
@@ -254,7 +259,7 @@ class PeriodicCode:
             else:
                 out.append(Violation(c.kind, (c.u, c.v)))
         out.sort(key=lambda x: (x.kind, x.vertices))
-        return out
+        return tuple(out)
 
     def is_identifying(self) -> bool:
         return not self.verify()

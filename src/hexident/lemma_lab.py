@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
@@ -76,15 +76,60 @@ class RegionTooLarge(ValueError):
 # window configurations and templates
 
 
-@dataclass(frozen=True)
 class WindowConfig:
     """A total IN/OUT status assignment on a finite vertex set.
 
-    region is sorted; status is aligned with it.
+    region is sorted; status is aligned with it.  The assignment is held as
+    a mask: region[k] is IN when bit slots[k] of the mask is set.  The
+    configurations of one enumeration share region and slots, so each keeps
+    one int of its own, and status is built from the mask on each read.
+    Immutable; equality, hashing and repr read (region, status), so
+    configurations from different enumerations compare equal.
     """
 
-    region: Tuple[Vertex, ...]
-    status: Tuple[str, ...]
+    __slots__ = ("region", "_slots", "_mask")
+
+    def __new__(cls, region: Tuple[Vertex, ...], status: Tuple[str, ...]) -> "WindowConfig":
+        if len(status) != len(region) or not set(status) <= {IN, OUT}:
+            raise ValueError("a window status is IN or OUT per region vertex")
+        slots = tuple(1 << k for k in range(len(region)))
+        return cls._of(region, slots, sum(b for b, st in zip(slots, status) if st == IN))
+
+    @classmethod
+    def _of(cls, region: Tuple[Vertex, ...], slots: Tuple[int, ...], mask: int) -> "WindowConfig":
+        """The configuration whose IN vertices are the region vertices with
+        their slot bit set in mask; bits outside the slots are ignored."""
+        cfg = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(cfg, "region", region)
+        setattr_(cfg, "_slots", slots)
+        setattr_(cfg, "_mask", mask)
+        return cfg
+
+    @property
+    def status(self) -> Tuple[str, ...]:
+        mask = self._mask
+        return tuple([IN if mask & b else OUT for b in self._slots])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.region, self.status) == (other.region, other.status)
+
+    def __hash__(self):
+        return hash((self.region, self.status))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(region={self.region!r}, status={self.status!r})"
+
+    def __reduce__(self):
+        return type(self), (self.region, self.status)
 
     def as_mapping(self) -> Dict[Vertex, str]:
         return dict(zip(self.region, self.status))
@@ -476,6 +521,7 @@ class _Engine:
             )
         self._free_mask = _mask(self.free_idx)
         self._region_bits = tuple(1 << i for i in self.region_idx)
+        self._region_mask = _mask(self.region_idx)
         # a vertex not IN at the root may go OUT below it
         self.restrict_clauses(~self.mem)
 
@@ -622,10 +668,9 @@ class _Engine:
 
     def snapshot(self) -> WindowConfig:
         """The window's assignment at a leaf."""
-        mem = self.mem
-        # a list gives an exact-size tuple; a caller of enumerate may keep
-        # every snapshot
-        return WindowConfig(self.region, tuple([IN if mem & b else OUT for b in self._region_bits]))
+        # every snapshot shares the region and its bit slots and keeps only
+        # the window's part of mem, so a caller of enumerate may keep many
+        return WindowConfig._of(self.region, self._region_bits, self.mem & self._region_mask)
 
     # -- decided components ------------------------------------------------
 

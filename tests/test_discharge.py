@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, layers, neighbors
+from hexident import code as code_module
 from hexident.code import PeriodicCode, full_code, tile
 from hexident.cluster import Classification, Instance, UnsupportedKind
 from hexident.optimize import SearchSpec, enumerate_codes, minimum_code, random_code
@@ -105,6 +106,29 @@ def test_engines_reject_invalid_codes():
         except InvalidCode:
             pass
     assert issubclass(InvalidCode, ValueError)
+    # verify hands out a new list on each call, so a caller that changes
+    # one leaves the code's own violations as they were
+    bad = broken.verify()
+    bad.clear()
+    assert broken.verify() and broken.verify() is not broken.verify()
+    for engine in (run_main, run_prop1):
+        with pytest.raises(InvalidCode, match="not an identifying code"):
+            engine(broken)
+
+
+def test_ledgers_reuse_the_violations_of_verify(monkeypatch):
+    # a code tests the clauses once; both ledgers then read its violations
+    codes = [random_code(PeriodLattice(7, 1, 3), seed=1), sub0()]
+    for c in codes:
+        assert c.verify() == []
+
+    def compile_again(lattice):
+        raise AssertionError(f"clauses of {lattice} compiled again")
+
+    monkeypatch.setattr(code_module, "identifying_constraints", compile_again)
+    for c in codes:
+        assert audit(run_prop1(c), PROP1_TARGET).ok
+        assert audit(run_main(c), MAIN_TARGET).ok
 
 
 def test_outflow_requires_open3():

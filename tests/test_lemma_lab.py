@@ -7,13 +7,17 @@ The shell bounds were cross-checked against an exact cover search.
 """
 
 import functools
+import hashlib
 import itertools
+import json
+import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from hexident.hexgrid import Vertex, layers, neighbors
+from hexident.hexgrid import PeriodLattice, Vertex, layers, neighbors
 from hexident import hexgrid
 from hexident.cluster import Cluster, UnsupportedKind
 from hexident import lemma_lab as ll
@@ -135,6 +139,94 @@ def test_enumerate_streams(monkeypatch):
     first = next(ll.enumerate(region))
     assert first.status == (IN,) * len(region)
     assert [e.nodes for e in engines] == [len(region) + 1]
+
+
+@dataclass(frozen=True)
+class _FrozenConfig:
+    """A window assignment as a frozen dataclass of its region and status
+    tuple: the reference for WindowConfig's equality, hash, repr and JSON."""
+
+    region: tuple
+    status: tuple
+
+    def as_mapping(self):
+        return dict(zip(self.region, self.status))
+
+    def to_json(self):
+        return {"window": [[v.a, v.b, v.s, st] for v, st in zip(self.region, self.status)]}
+
+
+def test_window_config_matches_the_frozen_dataclass():
+    tpl = TEMPLATES["fig3a"]
+    snapshots = list(ll.enumerate(tpl.region(), tpl.constraints()))
+    for snap in snapshots:
+        built = ll.WindowConfig(snap.region, snap.status)
+        ref = _FrozenConfig(snap.region, snap.status)
+        assert built == snap and hash(built) == hash(snap) == hash(ref)
+        assert repr(snap) == repr(built) == repr(ref).replace("_FrozenConfig", "WindowConfig")
+        assert snap.to_json() == built.to_json() == ref.to_json()
+        assert snap.as_mapping() == built.as_mapping() == ref.as_mapping()
+    assert len(set(snapshots)) == len(snapshots) == 192
+    snap = snapshots[0]
+    assert snap != _FrozenConfig(snap.region, snap.status)
+    assert pickle.loads(pickle.dumps(snap)) == snap
+    for name in ("region", "status", "_mask"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(snap, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(snap, name)
+    with pytest.raises(ValueError):
+        ll.WindowConfig(snap.region, snap.status[1:])
+    with pytest.raises(ValueError):
+        ll.WindowConfig(snap.region, (UNKNOWN,) + snap.status[1:])
+
+
+# the radius-3 ball around (0, 0, 0) with (0, 0, 0) and its three neighbors
+# pinned IN
+_STAR_WINDOW = (ball(Vertex(0, 0, 0), 3), {w: IN for w in [Vertex(0, 0, 0), *neighbors(Vertex(0, 0, 0))]})
+
+
+def _digest_windows():
+    """fig3a, and radius-3 balls pinned out to radius 1 or 2 by a fixed code
+    or with a lone vertex and its neighbors IN: 61703 assignments."""
+    tpl = TEMPLATES["fig3a"]
+    yield tpl.region(), tpl.constraints()
+    code = random_code(PeriodLattice(7, 1, 3), seed=1)
+    for centre, pin_radius in ((Vertex(0, 0, 0), 1), (Vertex(1, 0, 1), 1), (Vertex(1, 0, 1), 2),
+                               (Vertex(6, 0, 1), 2)):
+        yield ball(centre, 3), {w: IN if code.contains(w) else OUT for w in ball(centre, pin_radius)}
+    yield _STAR_WINDOW
+
+
+def test_enumeration_order_and_content_pinned():
+    # the (region, status) sequence of each window, as taken when every
+    # assignment held its own status tuple
+    digest = hashlib.sha256()
+    counts = []
+    for region, pins in _digest_windows():
+        configs = ll.enumerate(region, pins)
+        first = next(configs)
+        digest.update(repr(first.region).encode())
+        n = 0
+        for cfg in itertools.chain([first], configs):
+            assert cfg.region == first.region
+            digest.update(" ".join(cfg.status).encode() + b"\n")
+            n += 1
+        counts.append(n)
+    assert counts == [192, 5314, 24425, 368, 125, 31279]
+    assert digest.hexdigest() == "f7e0d657d9e8a5bd05872ae2cdef4a410bd1d33e815325f6ffdf4533000820ec"
+
+
+def test_held_assignments_keep_only_masks():
+    # 289 B per assignment when each held a dataclass and a status tuple
+    tracemalloc.start()
+    try:
+        configs = list(ll.enumerate(*_STAR_WINDOW))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(configs) == 31279
+    assert held < 128 * len(configs)
 
 
 def test_pinned_vertices_do_not_count_against_cap():
@@ -1565,6 +1657,22 @@ def test_counterexample_verdict_plumbing(monkeypatch):
     for vert, st in tpl.constraints().items():
         assert m[vert] == st
     assert len(searches) == 1
+    # the verdict's JSON as taken when WindowConfig was a frozen dataclass
+    blob = json.dumps(v.to_json()).encode()
+    assert hashlib.sha256(blob).hexdigest() == "0088da991aee52acb36eb6d219e664140253d2fe71c337f1f6d9b86c1572ccca"
+
+
+def test_partition_counterexample_verdict(monkeypatch):
+    # a shape that needs too many parts comes back as a window of its
+    # vertices, all IN
+    monkeypatch.setattr(ll, "_shell_bound", lambda verts: (len(verts), 13 if len(verts) == 4 else 0))
+    v = check_lemma("L5partition", radius=4)
+    assert v.to_json() == {
+        "lemmaId": "L5partition", "result": COUNTEREXAMPLE, "radius": 4, "template": None,
+        "configsExplored": 25,
+        "counterexample": {"window": [[0, 0, 0, IN], [0, 0, 1, IN], [1, 0, 0, IN], [1, 0, 1, IN]]},
+        "note": "shape of size 4 needs more than size + 8 parts",
+    }
 
 
 # ---------------------------------------------------------------------------
