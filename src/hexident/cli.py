@@ -45,12 +45,6 @@ from hexident.lemma_lab import (
 from hexident.optimize import SearchSpec, INFEASIBLE, density_scan, minimum_code, scan_csv
 
 
-# largest domain (2pq) a code file may declare: the clause compile and the
-# domain loops grow with it, so a bigger period exits 2 at its period line,
-# before any row is read
-CODE_FILE_CAP = 20000
-
-
 def _frac(x: Fraction, approx: bool) -> str:
     return str(float(x)) if approx else f"{x.numerator}/{x.denominator}"
 
@@ -110,18 +104,12 @@ def _emit(text: str, args) -> None:
         print(text)
 
 
-def _load_code(path: str) -> PeriodicCode:
-    with open(path) as fh:
-        # refused at the period line, before any row is read
-        return PeriodicCode._read(fh, cap=CODE_FILE_CAP)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_verify(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     violations = code.verify()
     density = _frac(code.density(), args.approx)
     if args.format == "json":
@@ -149,13 +137,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     _emit(_frac(code.density(), args.approx), args)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     cls = Classification(code)
     if args.format == "text":
         lines = []
@@ -172,7 +160,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_discharge(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     if args.engine == "prop1":
         ledger = run_prop1(code)
         bound = args.bound if args.bound is not None else PROP1_TARGET
@@ -197,7 +185,7 @@ def _cmd_discharge(args) -> int:
 
 
 def _cmd_outflow(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     ledger = run_main(code)
     cls = ledger.classification
     cluster = cls.clusters[cls.instance_of(args.at).cid]
@@ -223,7 +211,7 @@ def _cmd_check_lemma(args) -> int:
 
 
 def _cmd_shell(args) -> int:
-    code = _load_code(args.code)
+    code = PeriodicCode.load(args.code)
     cls = Classification(code)
     cluster = cls.clusters[cls.instance_of(args.at).cid]
     size, parts = shell_partition_bound(code, cluster)

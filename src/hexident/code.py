@@ -1,8 +1,9 @@
 """Periodic vertex sets and the identifying-code verifier.
 
 A PeriodicCode is a lattice-periodic subset D of the infinite grid,
-stored as the set of orbit representatives inside one fundamental
-domain, as a mask over their orbit indices, or as both.  All predicates
+stored as one mask over the orbit indices of a fundamental domain; its
+canonical members are read off the mask when asked for.  Text parses
+refuse a period above CODE_FILE_CAP at its line.  All predicates
 are evaluated on the infinite grid: a vertex is looked up by its orbit,
 and the clauses below are walked out on infinite vertices before they
 are read as orbits.  Nothing here quotients the grid to a torus, so
@@ -44,10 +45,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from hexident.hexgrid import PeriodLattice, Vertex, closed_neighborhood, layers, neighbors, set_bits
+from hexident.hexgrid import PeriodLattice, Vertex, bitmask, closed_neighborhood, layers, neighbors
 
 EMPTY_IDENTIFIER = "EmptyIdentifier"
 INDISTINGUISHABLE_PAIR = "IndistinguishablePair"
+
+# largest domain (2pq) a code file may declare: the mask, the clause
+# compile and the domain loops grow with it, so every parse refuses a
+# bigger period at its period line, before any row is read
+CODE_FILE_CAP = 20000
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +70,7 @@ class Constraint:
         """The orbits as a bitmask over orbit indices, built on each call so
         a clause stores only its orbits.  optimize reads it once per clause
         for its mask searches, and perfbench's tracer for clause sizes."""
-        mask = 0
-        for i in self.orbits:
-            mask |= 1 << i
-        return mask
+        return bitmask(self.orbits)
 
 
 @dataclass(frozen=True)
@@ -160,83 +163,62 @@ def identifying_constraints(lattice: PeriodLattice) -> tuple[Constraint, ...]:
     return tuple(empties + pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PeriodicCode:
-    """Lattice-periodic vertex set given by canonical members.
+    """Lattice-periodic vertex set, stored as its orbit mask.
 
-    A code holds its members, its orbit mask `bits`, or both.  A code
-    built from members builds `bits` the first time it is read; a code
-    built by from_bits builds `members` the first time it is read.  Each
-    is then kept.  Equality, hashing and repr read `members`.
+    Bit i of `bits` says whether the orbit of lattice.vertices[i] is in
+    the code.  PeriodicCode(lattice, members) sets the bit of each
+    member's orbit, so a member may be any translate of its domain
+    vertex; from_bits takes a mask.  Equality and hashing
+    read (lattice, bits).  Everything else a code holds is a cache of
+    what it derived from the mask: the orbit indices, the canonical
+    members (built only when read, by to_text for one) and the
+    violations.
     """
 
     lattice: PeriodLattice
-    members: frozenset[Vertex]
+    bits: int
 
-    def __post_init__(self):
-        canon = frozenset(self.lattice.canonical(v) for v in self.members)
-        object.__setattr__(self, "members", canon)
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails, so only for the members of
-        # a code that from_bits made and nothing has read them yet
-        if name != "members" or "bits" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        members = frozenset(map(self.lattice.vertices.__getitem__, set_bits(self.bits)))
-        vars(self)["members"] = members
-        return members
-
-    @functools.cached_property
-    def bits(self) -> int:
-        """The members as a bitmask over orbit indices, built on first use:
-        a huge domain costs nothing before a caller checks its size."""
-        bits = 0
-        for v in self.members:
-            bits |= 1 << self.lattice.index(v)
-        return bits
-
-    @classmethod
-    def _of(cls, lattice: PeriodLattice, members: frozenset[Vertex]) -> "PeriodicCode":
-        """A code of members that are canonical already, built without
-        running __post_init__ over them again."""
-        code = object.__new__(cls)
-        vars(code).update(lattice=lattice, members=members)
-        return code
+    def __init__(self, lattice: PeriodLattice, members: Iterable[Vertex]):
+        vars(self).update(lattice=lattice, bits=bitmask(map(lattice.index, members)))
 
     @classmethod
     def from_bits(cls, lattice: PeriodLattice, bits: int) -> "PeriodicCode":
-        """The code of a mask; bits at or above the domain size are ignored.
-
-        The code stores only its lattice and its mask.  Its members are
-        built the first time they are read, from the lattice's own domain
-        vertices, so all the codes built from masks on one lattice share
-        one set of Vertex objects."""
-        bits &= (1 << lattice.domain_size) - 1
+        """The code of a mask; bits at or above the domain size are ignored."""
         code = object.__new__(cls)
-        vars(code).update(lattice=lattice, bits=bits)
+        vars(code).update(lattice=lattice, bits=bits & ((1 << lattice.domain_size) - 1))
         return code
 
     @functools.cached_property
     def _orbits(self) -> frozenset[int]:
-        return frozenset(set_bits(self.bits))
+        # one pass over the binary digits, lowest first
+        return frozenset(i for i, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1")
 
     def orbits(self) -> frozenset[int]:
         """The orbit indices of the members, built on the first call and
         shared by every later one."""
         return self._orbits
 
+    @functools.cached_property
+    def members(self) -> frozenset[Vertex]:
+        """The canonical members, built on first use from the lattice's own
+        domain vertices, so all the codes on one lattice share one set of
+        Vertex objects."""
+        return frozenset(map(self.lattice.vertices.__getitem__, self.orbits()))
+
     def contains(self, v: Vertex) -> bool:
-        return self.lattice.canonical(v) in self.members
+        return self.lattice.index(v) in self.orbits()
 
     def identifier(self, v: Vertex) -> frozenset[Vertex]:
         """N[v] intersected with the code, as infinite-grid vertices."""
         return frozenset(w for w in closed_neighborhood(v) if self.contains(w))
 
     def density(self) -> Fraction:
-        return Fraction(len(self.members), self.lattice.domain_size)
+        return Fraction(self.size(), self.lattice.domain_size)
 
     def size(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def verify(self) -> list[Violation]:
         """All violations of the identifying-code property, or [] if valid.
@@ -277,15 +259,16 @@ class PeriodicCode:
         return cls._read((text,))
 
     @classmethod
-    def _read(cls, chunks: Iterable[str], cap: int | None = None) -> "PeriodicCode":
+    def _read(cls, chunks: Iterable[str]) -> "PeriodicCode":
         """The code of a 'period p q shear' line and one 'a b s' row per
         member, from text given as chunks of whole lines: an open file, or
-        one string.  Blank lines and '#' comments are skipped.  Each row
-        goes into the member set as its orbit representative as soon as it
-        is read, so repeated rows cost no memory.  A period whose domain
-        exceeds cap is refused at its line, before any row is read."""
+        one string.  Blank lines and '#' comments are skipped.  A period
+        whose domain exceeds CODE_FILE_CAP is refused at its line, before
+        any row is read.  Each row goes into a set as its orbit index as
+        soon as it is read, so repeated rows cost no memory, and the mask
+        is built once at the end."""
         lattice = None
-        members = set()
+        orbits = set()
         for raw in (line for chunk in chunks for line in chunk.splitlines()):
             ln = raw.strip()
             if not ln or ln.startswith("#"):
@@ -299,8 +282,8 @@ class PeriodicCode:
                     lattice = PeriodLattice(p, q, shear)
                 except ValueError as e:
                     raise ValueError(f"bad period line: {e}") from None
-                if cap is not None and lattice.domain_size > cap:
-                    raise ValueError(f"domain size {lattice.domain_size} exceeds cap {cap}")
+                if lattice.domain_size > CODE_FILE_CAP:
+                    raise ValueError(f"domain size {lattice.domain_size} exceeds cap {CODE_FILE_CAP}")
                 continue
             if len(parts) != 3:
                 raise ValueError(f"bad vertex row: {ln!r}")
@@ -310,10 +293,10 @@ class PeriodicCode:
                 raise ValueError(f"bad vertex row: {ln!r}") from None
             if s not in (0, 1):
                 raise ValueError(f"vertex sublattice must be 0 or 1: {ln!r}")
-            members.add(lattice.canonical(Vertex(a, b, s)))
+            orbits.add(lattice.index(Vertex(a, b, s)))
         if lattice is None:
             raise ValueError("empty code file")
-        return cls._of(lattice, frozenset(members))
+        return cls.from_bits(lattice, bitmask(orbits))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -327,20 +310,18 @@ class PeriodicCode:
 
 def full_code(lattice: PeriodLattice) -> PeriodicCode:
     """D = V; always identifying (closed neighborhoods are distinct)."""
-    return PeriodicCode._of(lattice, frozenset(lattice.vertices))
+    return PeriodicCode.from_bits(lattice, (1 << lattice.domain_size) - 1)
 
 
 def tile(code: PeriodicCode, m1: int, m2: int) -> PeriodicCode:
     """The same infinite set presented on an (m1, m2)-fold larger domain."""
     if m1 < 1 or m2 < 1:
         raise ValueError("tile factors must be positive")
-    old = code.lattice
+    old, inside = code.lattice, code.orbits()
     big = PeriodLattice(old.p * m1, old.q * m2, (old.shear * m2) % (old.p * m1))
-    return PeriodicCode._of(big, frozenset(v for v in big.vertices if code.contains(v)))
+    return PeriodicCode.from_bits(big, bitmask(i for i, v in enumerate(big.vertices) if old.index(v) in inside))
 
 
 def thin_code(code: PeriodicCode, removals: Iterable[Vertex]) -> PeriodicCode:
-    members = set(code.members)
-    for v in removals:
-        members.discard(code.lattice.canonical(v))
-    return PeriodicCode._of(code.lattice, frozenset(members))
+    removed = bitmask(map(code.lattice.index, removals))
+    return PeriodicCode.from_bits(code.lattice, code.bits & ~removed)

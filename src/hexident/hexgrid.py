@@ -45,6 +45,14 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def bitmask(indices: Iterable[int]) -> int:
+    """The mask with the given bits set: the inverse of set_bits."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class Vertex(NamedTuple):
     a: int
     b: int

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .cluster import UnsupportedKind
 from .code import clause_pattern
-from .hexgrid import Vertex, layers, neighbors, set_bits
+from .hexgrid import Vertex, bitmask, layers, neighbors, set_bits
 
 IN = "IN"
 OUT = "OUT"
@@ -182,7 +182,10 @@ def _parse_rows(lines: Iterable[str], name: str) -> Template:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError("expected 'a b s STATUS', got %r" % raw)
-        a, b, s = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            a, b, s = map(int, parts[:3])
+        except ValueError:
+            raise ValueError("expected integer coordinates in 'a b s STATUS', got %r" % raw) from None
         if s not in (0, 1):
             raise ValueError("vertex sublattice must be 0 or 1: %r" % raw)
         st = parts[3].upper()
@@ -519,9 +522,9 @@ class _Engine:
             raise RegionTooLarge(
                 "%d undecided vertices exceed the cap of %d" % (len(self.free_idx), ENUMERATION_CAP)
             )
-        self._free_mask = _mask(self.free_idx)
+        self._free_mask = bitmask(self.free_idx)
         self._region_bits = tuple(1 << i for i in self.region_idx)
-        self._region_mask = _mask(self.region_idx)
+        self._region_mask = bitmask(self.region_idx)
         # a vertex not IN at the root may go OUT below it
         self.restrict_clauses(~self.mem)
 
@@ -541,7 +544,7 @@ class _Engine:
         a kept clause reads, stay as they are with the full lists.
         """
         stuck = ~out_ok & ~self.dec & ((1 << self.n) - 1)
-        read = _mask(i for i in set_bits(stuck) if self.nbmask[i] & self._free_mask)
+        read = bitmask(i for i in set_bits(stuck) if self.nbmask[i] & self._free_mask)
 
         def keep(clause: int) -> bool:
             if clause & self.mem:
@@ -729,7 +732,7 @@ class _Engine:
         rec = self._records.get(members)
         if rec is not None:
             return rec
-        mask = _mask(members)
+        mask = bitmask(members)
         rim = reach2 = reach3 = 0
         for i in members:
             rim |= self.nbmask[i]
@@ -781,14 +784,6 @@ def enumerate(region, constraints=None):
 # background facts are that a decided-IN component K always sits inside one
 # actual cluster X with X containing K, and that no identifying code has a
 # cluster of size exactly two (the two members' identifiers would coincide).
-
-
-def _mask(idx: Iterable[int]) -> int:
-    """The bitmask of a collection of universe indices."""
-    m = 0
-    for i in idx:
-        m |= 1 << i
-    return m
 
 
 def _sealed(eng: _Engine, c: _Comp) -> bool:
@@ -923,7 +918,7 @@ class _LemmaState:
     def __init__(self, eng: _Engine, anchors: Sequence[_Comp]):
         self.eng = eng
         self.anchors = tuple(anchors)
-        self.anchor_mask = _mask(i for a in self.anchors for i in a.members)
+        self.anchor_mask = bitmask(i for a in self.anchors for i in a.members)
 
     # hypothesis certainly false on the current (partial) assignment
     def hyp_false(self) -> bool:

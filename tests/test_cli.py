@@ -424,6 +424,33 @@ def test_oversized_code_file_fails_before_any_work(capsys, monkeypatch, tmp_path
     assert peak < 4 << 20
 
 
+_HOSTILE_CODE_FILES = [
+    ("over-cap", "period 20000 20000 0\n19999 19999 1\n", "domain size 800000000 exceeds cap 20000"),
+    ("malformed-row", "period 7 1 1\n0 0 0\n0 0\n", "bad vertex row: '0 0'"),
+    ("sublattice-2", "period 7 1 1\n0 0 2\n", "vertex sublattice must be 0 or 1: '0 0 2'"),
+    ("missing", None, "No such file or directory"),
+    ("empty", "", "empty code file"),
+]
+_CODE_COMMANDS = [["verify"], ["density"], ["classify"], ["discharge"], ["outflow", "--at", "0,0,0"],
+                  ["shell", "--at", "0,0,0"]]
+
+
+@pytest.mark.parametrize("text,needle", [row[1:] for row in _HOSTILE_CODE_FILES],
+                         ids=[row[0] for row in _HOSTILE_CODE_FILES])
+@pytest.mark.parametrize("command", _CODE_COMMANDS, ids=[argv[0] for argv in _CODE_COMMANDS])
+def test_hostile_code_files_are_usage_errors(capsys, monkeypatch, tmp_path, command, text, needle):
+    def never(*args, **kwargs):
+        raise AssertionError("a hostile code file reached the clause compile")
+
+    monkeypatch.setattr(hexident.code, "identifying_constraints", never)
+    path = tmp_path / "code.txt"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, command[0], "--code", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert needle in err and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_code_file_refused_at_its_period_line(capsys, tmp_path):
     # a million distinct rows after the period line: none of them is read
     path = tmp_path / "huge.txt"

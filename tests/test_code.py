@@ -6,7 +6,9 @@ from itertools import islice
 
 import pytest
 
+from hexident.cluster import Classification
 from hexident.code import (
+    CODE_FILE_CAP,
     EMPTY_IDENTIFIER,
     INDISTINGUISHABLE_PAIR,
     Constraint,
@@ -107,8 +109,8 @@ def test_text_rejects_garbage():
 
 
 def test_code_file_streams_its_rows(tmp_path):
-    # 200000 rows of one orbit: each row is canonicalised into the member
-    # set as it is read, so memory does not grow with the file
+    # 200000 rows of one orbit: each row goes into the orbit set as it is
+    # read, so memory does not grow with the file
     path = tmp_path / "long.txt"
     rows = "".join("%d 0 0\n" % k for k in range(200000))
     path.write_text("period 1 1 0\n" + rows)
@@ -243,7 +245,49 @@ def test_ledgers_leave_members_unbuilt():
         assert audit(ledger, Fraction(12, 29)).ok
         assert claims_report(ledger)["ok"]
         assert "members" not in vars(c), c.lattice
-        assert c.size() == c.bits.bit_count() and "members" in vars(c)
+        # every reading of the code but its text comes off the mask
+        assert c.size() == c.bits.bit_count()
+        assert c.density() == Fraction(c.size(), c.lattice.domain_size)
+        u = c.lattice.vertices[min(c.orbits())]
+        assert c.contains(u) and u in c.identifier(u)
+        Classification(c).report()
+        assert "members" not in vars(c), c.lattice
+        assert c.to_text().count("\n") == c.size() + 1 and "members" in vars(c)
+
+
+def test_member_and_mask_codes_of_one_set_are_equal():
+    lat = PeriodLattice(7, 1, 3)
+    # (-2, -3) = (7, 0) - 3 (3, 1) is a lattice vector
+    assert lat.canonical(Vertex(-2, -3, 0)) == Vertex(0, 0, 0)
+    for seed in range(4):
+        masked = random_code(lat, seed=seed)
+        moved = PeriodicCode(lat, [Vertex(v.a - 2, v.b - 3, v.s) for v in masked.members])
+        assert set(vars(moved)) == {"lattice", "bits"}
+        assert moved == masked and hash(moved) == hash(masked)
+        assert moved.members == masked.members and moved.verify() == masked.verify() == []
+        # beyond its two fields a code holds only caches of what it derived
+        for c in (moved, masked):
+            assert set(vars(c)) == {"lattice", "bits", "_orbits", "members", "_violations"}
+    assert PeriodicCode(lat, []) == PeriodicCode.from_bits(lat, 0) != full_code(lat)
+
+
+def test_library_parse_refuses_an_oversized_period_at_its_line(tmp_path):
+    # a member at a huge orbit index would need a 100 MB mask
+    text = "period 20000 20000 0\n19999 19999 1\n"
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    for parse in (lambda: PeriodicCode.from_text(text), lambda: PeriodicCode.load(path)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^domain size 800000000 exceeds cap {CODE_FILE_CAP}$"):
+                parse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+    # the refusal comes before any row is read, even a malformed one
+    with pytest.raises(ValueError, match="exceeds cap"):
+        PeriodicCode.from_text("period 20000 20000 0\nnot a row\n")
 
 
 def test_constraint_masks_are_nonempty_and_within_domain():

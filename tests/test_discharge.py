@@ -6,6 +6,7 @@ are non-identifying on purpose: the rescue helpers only read the
 classification, so validity is switched off to stage rare shapes.
 """
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, layers, neighbors
+from hexident.hexgrid import PeriodLattice, Vertex, all_lattices, ball, lattices_of_size, layers, neighbors
 from hexident import code as code_module
 from hexident.code import PeriodicCode, full_code, tile
 from hexident.cluster import Classification, Instance, UnsupportedKind
@@ -898,6 +899,24 @@ def test_ledgers_are_translation_invariant_on_small_domains():
                         translates += 1
             codes += 1
     assert (codes, translates) == (2777, 10026)
+
+
+def test_lower_bound_outputs_are_pinned():
+    # the text, both ledgers, both audits, the claims and the cluster report
+    # of every identifying code with 2pq <= 10, and of two random codes on
+    # each lattice with 2pq in 14..28, as JSON: a change to any of them is
+    # on purpose, and updates this digest and says why
+    codes = [code for lat in all_lattices(10) for code in enumerate_codes(lat)]
+    lattices = [lat for size in range(14, 29, 2) for lat in lattices_of_size(size)]
+    codes += [random_code(lat, seed=seed) for lat in lattices for seed in (0, 1)]
+    assert (len(codes), len(lattices)) == (2777 + 264, 132)
+    digest = hashlib.sha256()
+    for code in codes:
+        prop1, main = run_prop1(code), run_main(code)
+        record = [code.to_text(), prop1.to_json(), main.to_json(), audit(prop1, PROP1_TARGET).to_json(),
+                  audit(main, MAIN_TARGET).to_json(), claims_report(main), Classification(code).report()]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == "3a88f120146929dd0e846e6600dc5d1d030ff3cf03e1bc6051013d8e1a214ce9"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -274,6 +274,9 @@ def test_parse_template_rejects_bad_rows():
         parse_template("0 0 IN")
     with pytest.raises(ValueError, match="sublattice"):
         parse_template("0 0 7 IN")
+    # a coordinate that is not an integer names its row
+    with pytest.raises(ValueError, match="got '0 0 x IN'$"):
+        parse_template("0 0 x IN")
 
 
 def test_template_registry_shapes():
