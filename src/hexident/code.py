@@ -56,6 +56,12 @@ INDISTINGUISHABLE_PAIR = "IndistinguishablePair"
 CODE_FILE_CAP = 20000
 
 
+def _refuse_over_cap(lattice: PeriodLattice) -> None:
+    """Raise ValueError for a period that no code file may declare."""
+    if lattice.domain_size > CODE_FILE_CAP:
+        raise ValueError(f"domain size {lattice.domain_size} exceeds cap {CODE_FILE_CAP}")
+
+
 @dataclass(frozen=True, slots=True)
 class Constraint:
     """Positive clause: at least one of its orbits belongs to the code."""
@@ -282,8 +288,7 @@ class PeriodicCode:
                     lattice = PeriodLattice(p, q, shear)
                 except ValueError as e:
                     raise ValueError(f"bad period line: {e}") from None
-                if lattice.domain_size > CODE_FILE_CAP:
-                    raise ValueError(f"domain size {lattice.domain_size} exceeds cap {CODE_FILE_CAP}")
+                _refuse_over_cap(lattice)
                 continue
             if len(parts) != 3:
                 raise ValueError(f"bad vertex row: {ln!r}")
@@ -299,6 +304,9 @@ class PeriodicCode:
         return cls.from_bits(lattice, bitmask(orbits))
 
     def save(self, path) -> None:
+        """Write the code file that load reads back.  A period that load
+        would refuse is refused here, before the file is opened."""
+        _refuse_over_cap(self.lattice)
         with open(path, "w") as fh:
             fh.write(self.to_text())
 

@@ -919,6 +919,8 @@ class _LemmaState:
         self.eng = eng
         self.anchors = tuple(anchors)
         self.anchor_mask = bitmask(i for a in self.anchors for i in a.members)
+        # one side of the bipartite grid: every edge joins s = 0 to s = 1
+        self.side = bitmask(i for i in range(eng.n) if eng.verts[i].s == 0)
 
     # hypothesis certainly false on the current (partial) assignment
     def hyp_false(self) -> bool:
@@ -949,17 +951,71 @@ class _LemmaState:
         """Internal-node settlement: the whole subtree is fine."""
         return self.hyp_false() or self.concl_certain()
 
-    def _floor(self) -> int:
-        """Zone vertices that can still hold a candidate cluster of their
-        own: the undecided ones."""
-        return (self.zone_mask & ~self.eng.dec).bit_count()
+    def _floor(self, comps: Sequence[_Comp], limit: Optional[int] = None) -> int:
+        """An upper bound on the candidate clusters holding no IN vertex of a
+        component that meets the zone: the independence number of the free
+        set, the undecided zone vertices off the rim of every component that
+        meets the zone or holds an anchor vertex.
 
-    def _support(self, comps) -> int:
+        Sound: such a candidate meets the zone only at undecided vertices
+        (an IN one would join a zone-meeting component), none on those rims
+        (the IN neighbor would join it), and distinct clusters are never
+        adjacent.  Rims of components outside the zone stay free, since
+        those may grow into it.  The grid is bipartite, so the number is
+        the free count minus a maximum matching (König).  Past a limit it
+        may stop early at the larger side, itself independent."""
+        eng = self.eng
+        free = self.zone_mask & ~eng.dec
+        hold = self.zone_mask | self.anchor_mask
+        for c in comps:
+            if c.mask & hold:
+                free &= ~c.rim
+        left = free & self.side
+        right = free & ~left
+        big = max(left.bit_count(), right.bit_count())
+        if limit is not None and big > limit:
+            return big
+        return free.bit_count() - len(self._matching(left, right))
+
+    def _matching(self, left: int, right: int) -> Dict[int, int]:
+        """A maximum matching between two masks of vertices, as a map from
+        each matched vertex of right to its partner in left: one augmenting
+        path search per left vertex (Kuhn), over the neighbor masks."""
+        nbmask = self.eng.nbmask
+        match: Dict[int, int] = {}
+        matched = seen = 0
+
+        def augment(a: int) -> bool:
+            nonlocal matched, seen
+            opts = nbmask[a] & right & ~seen
+            spare = opts & ~matched
+            if spare:
+                low = spare & -spare
+                match[low.bit_length() - 1] = a
+                matched |= low
+                return True
+            # every option is matched: try to move each partner elsewhere
+            seen |= opts
+            for b in set_bits(opts):
+                if augment(match[b]):
+                    match[b] = a
+                    return True
+            return False
+
+        for a in set_bits(left):
+            seen = 0
+            augment(a)
+        return match
+
+    def _support(self, comps: Sequence[_Comp], limit: int) -> int:
         """An upper bound on the candidate clusters the zone can still hold:
         the floor, plus one per component that meets the zone, avoids the
-        pinned clusters and is not certainly unqualified."""
-        total = self._floor()
+        pinned clusters and is not certainly unqualified.  The count stops
+        once it passes limit, so a result above limit says only that."""
+        total = self._floor(comps, limit)
         for c in comps:
+            if total > limit:
+                break
             if not c.mask & self.anchor_mask and c.mask & self.zone_mask and not self._unqual(c, comps):
                 total += 1
         return total
@@ -1082,9 +1138,7 @@ class _L2State(_LemmaState):
         return _cert_big(self.eng, c) or _cert_crowded(self.eng, c)
 
     def concl_certain(self) -> bool:
-        if self._floor() > 10:
-            return False
-        u = self._support(self.eng.components())
+        u = self._support(self.eng.components(), 10)
         if u <= 9:
             return True
         return u <= 10 and _cert_crowded(self.eng, self.anchor)
@@ -1179,7 +1233,7 @@ class _L3State(_ThreatState):
         comps = eng.components()
         if _cert_unthreat(eng, self.anchor, comps):
             return True
-        return self._floor() < 4 and self._support(comps) < 4
+        return self._support(comps, 3) < 4
 
     def concl_certain(self) -> bool:
         eng = self.eng
@@ -1233,10 +1287,8 @@ class _L4State(_ThreatState):
         )
 
     def concl_certain(self) -> bool:
-        if self._floor() > 7:
-            return False
         comps = self.eng.components()
-        u = self._support(comps)
+        u = self._support(comps, 7)
         if u <= 6:
             return True
         return u <= 7 and self._big_nearby_certain(comps)

@@ -290,6 +290,27 @@ def test_library_parse_refuses_an_oversized_period_at_its_line(tmp_path):
         PeriodicCode.from_text("period 20000 20000 0\nnot a row\n")
 
 
+def test_save_refuses_what_load_refuses(tmp_path):
+    witness = minimum_code(SearchSpec(PeriodLattice(7, 1, 1))).witness
+    # at the cap, and just below it with the tiled witness, a code
+    # round-trips through its file
+    at_cap = PeriodicCode.from_bits(PeriodLattice(100, 100, 0), random.Random(20000).getrandbits(20000))
+    for code in (at_cap, tile(witness, 20, 71)):
+        assert code.lattice.domain_size <= CODE_FILE_CAP
+        path = tmp_path / "code.txt"
+        code.save(path)
+        assert PeriodicCode.load(path) == code
+    # above it, save raises the parse's error and writes no file
+    big = tile(witness, 20, 80)
+    assert big.lattice.domain_size == 22400
+    path = tmp_path / "big.txt"
+    with pytest.raises(ValueError, match=f"^domain size 22400 exceeds cap {CODE_FILE_CAP}$"):
+        big.save(path)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=f"^domain size 22400 exceeds cap {CODE_FILE_CAP}$"):
+        PeriodicCode.from_text(big.to_text())
+
+
 def test_constraint_masks_are_nonempty_and_within_domain():
     for lat in [PeriodLattice(1, 1), PeriodLattice(3, 2, 1), PeriodLattice(2, 2, 1)]:
         full_mask = (1 << lat.domain_size) - 1

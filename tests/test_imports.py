@@ -67,6 +67,17 @@ def test_module_shadows_no_builtin(path):
     assert found == []
 
 
+def test_no_bare_call_of_a_shadowed_builtin():
+    # inside a module that rebinds a builtin's name, a call by the bare
+    # name reaches the module's own definition: enumerate(...) written in
+    # lemma_lab runs the window enumerator, not the builtin
+    for module, name in sorted(SHADOWS_ALLOWED):
+        path = SRC / module
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name]
+        assert calls == [], (module, name)
+
+
 # public calls that only the tests make: each is part of the documented
 # toolkit, kept for users and for the tests that check the library by it
 ONLY_TESTS_CALL = {

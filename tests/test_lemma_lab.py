@@ -377,10 +377,10 @@ def test_verdict_json_round_trips():
 # counts alone
 _PINNED_COUNTS = [
     ("L1", None, None, VERIFIED, 5, 9, 0),
-    ("L2", None, None, VERIFIED, 23793, 47585, 1489),
-    ("L3", None, None, VERIFIED, 511, 1021, 54),
-    ("L4", "fig5", 500, INCONCLUSIVE, 242, 501, 710),
-    ("L4", "fig6", 500, INCONCLUSIVE, 243, 501, 0),
+    ("L2", None, None, VERIFIED, 799, 1597, 1474),
+    ("L3", None, None, VERIFIED, 507, 1013, 54),
+    ("L4", "fig5", 500, INCONCLUSIVE, 245, 501, 0),
+    ("L4", "fig6", 500, INCONCLUSIVE, 244, 501, 0),
 ]
 
 
@@ -426,7 +426,7 @@ def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result
 _RADIUS_COUNTS = [
     ("L1", 2, INCONCLUSIVE, 16, 31, 176),
     ("L3", 3, VERIFIED, 178, 355, 647),
-    ("L4", 2, INCONCLUSIVE, 130, 259, 9684),
+    ("L4", 2, INCONCLUSIVE, 130, 259, 2974),
 ]
 
 
@@ -1298,8 +1298,9 @@ def _check_records_against_reference(state, anchors):
     assert eng._pick(state.influence()) == (cands[0] if cands else -1)
 
 
-# L2 stops at about half of its 47585 search nodes to keep the test near
-# twenty seconds; the others run whole or at the paired windows' caps
+# L2 runs whole, its 1597 search nodes well below the cap that once kept
+# the test near twenty seconds; the others run whole or at the paired
+# windows' caps
 @pytest.mark.parametrize("lemma_id,template,node_cap", [
     ("L1", None, None),
     ("L2", None, 24000),
@@ -1450,6 +1451,60 @@ def _ref_l3_refuted(eng, anchor_mask, leaf_balls, comps):
     return True
 
 
+def _ref_free_zone(state, zone):
+    """The free zone set as vertices: the undecided zone vertices that are
+    not next to a member of a decided-IN component that meets the zone or
+    holds a pinned vertex.  Components by flood fill over neighbors."""
+    eng = state.eng
+    pinned = {eng.verts[i] for a in state.anchors for i in a.members}
+    left = {v for v in eng.verts if _ref_status(eng, v) == IN}
+    blocked = set()
+    while left:
+        comp, todo = set(), [left.pop()]
+        while todo:
+            v = todo.pop()
+            comp.add(v)
+            for w in neighbors(v):
+                if w in left:
+                    left.remove(w)
+                    todo.append(w)
+        if comp & zone or comp & pinned:
+            blocked.update(w for v in comp for w in neighbors(v))
+    return frozenset(v for v in zone if _ref_status(eng, v) == UNKNOWN and v not in blocked)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_independence(verts):
+    """The independence number of the grid graph on a vertex set, by an
+    exact branching search: one connected part at a time; a vertex with at
+    most one neighbor is always taken; a part whose degrees are all two is
+    a cycle; otherwise a vertex of degree three is left out or taken."""
+    if not verts:
+        return 0
+    part, todo = set(), [min(verts)]
+    while todo:
+        v = todo.pop()
+        if v not in part:
+            part.add(v)
+            todo.extend(w for w in neighbors(v) if w in verts)
+    rest = verts - part
+    if rest:
+        return _ref_independence(frozenset(part)) + _ref_independence(rest)
+    degree = {v: sum(w in verts for w in neighbors(v)) for v in verts}
+    low = min(verts, key=lambda v: (degree[v], v))
+    if degree[low] <= 1:
+        return 1 + _ref_independence(verts - {low, *neighbors(low)})
+    if degree[low] == 2 and max(degree.values()) == 2:
+        return len(verts) // 2
+    high = max(verts, key=lambda v: (degree[v], v))
+    return max(_ref_independence(verts - {high}),
+               1 + _ref_independence(verts - {high, *neighbors(high)}))
+
+
+# the limits _support is asked about: L3's hypothesis, L4 and L2
+_LIMITS = (3, 7, 10)
+
+
 def _check_masks_against_vertex_sets(state, seen):
     eng = state.eng
     comps = eng.components()
@@ -1459,37 +1514,49 @@ def _check_masks_against_vertex_sets(state, seen):
     assert zone_mask.bit_count() == len(zone)
     assert all(v in eng.index for b in cluster_balls for v in b)
     assert state.zone_mask == zone_mask
-    floor = (zone_mask & ~eng.dec).bit_count()
-    assert state._floor() == floor
-    if not isinstance(state, ll._ThreatState):
+    # the packing floor is the independence number of the free zone set,
+    # and never more than the undecided zone vertices
+    floor = _ref_independence(_ref_free_zone(state, frozenset(zone)))
+    assert state._floor(comps) == floor
+    plain = (zone_mask & ~eng.dec).bit_count()
+    assert floor <= plain
+    seen["packed"] = seen.get("packed", 0) + (floor < plain)
+    for limit in _LIMITS:
+        # past the limit the value may stop early, but never above the bound
+        got = state._floor(comps, limit)
+        assert min(got, limit + 1) == min(floor, limit + 1) and got <= floor
+    if isinstance(state, ll._L1State):
         return
-    assert state.balls == [_ref_mask(eng.index[v] for v in b) for b in cluster_balls]
     support = floor
     for c in comps:
-        if len(c.members) == 1:
-            got = ll._singleton_geom_unqual(eng, c.members[0], state.center_reach, state.balls)
-            want = _ref_singleton_geom_unqual(eng, c.members[0], center_balls, cluster_balls)
-        else:
-            got = ll._comp_geom_unqual(eng, c, state.balls)
-            want = _ref_comp_geom_unqual(eng, c.members, cluster_balls)
-        assert got == want
-        seen[(len(c.members), want)] = seen.get((len(c.members), want), 0) + 1
-        unqual = (ll._cert_big(eng, c) or ll._cert_crowded(eng, c)
-                  or ll._cert_unthreat(eng, c, comps) or want)
+        unqual = ll._cert_big(eng, c) or ll._cert_crowded(eng, c)
+        if isinstance(state, ll._ThreatState):
+            if len(c.members) == 1:
+                got = ll._singleton_geom_unqual(eng, c.members[0], state.center_reach, state.balls)
+                want = _ref_singleton_geom_unqual(eng, c.members[0], center_balls, cluster_balls)
+            else:
+                got = ll._comp_geom_unqual(eng, c, state.balls)
+                want = _ref_comp_geom_unqual(eng, c.members, cluster_balls)
+            assert got == want
+            seen[(len(c.members), want)] = seen.get((len(c.members), want), 0) + 1
+            unqual = unqual or ll._cert_unthreat(eng, c, comps) or want
         if not c.mask & state.anchor_mask and c.mask & zone_mask and not unqual:
             support += 1
-    assert state._support(comps) == support
+    for limit in _LIMITS:
+        assert min(state._support(comps, limit), limit + 1) == min(support, limit + 1)
+    if isinstance(state, ll._ThreatState):
+        assert state.balls == [_ref_mask(eng.index[v] for v in b) for b in cluster_balls]
     if isinstance(state, ll._L3State):
         home = next(c for c in comps if c.mask & state.anchor_mask)
         assert home is state.anchor
         assert state.refuted() == _ref_l3_refuted(eng, state.anchor_mask, leaf_balls, comps)
 
 
-# the paired windows and L2 stop at their caps to keep the test near ten
-# seconds; L1 and L2 only read the zone
+# the paired windows stop at their caps to keep the test near ten seconds;
+# L1 reads only the zone and its floor, and L2 adds no position rule
 @pytest.mark.parametrize("lemma_id,window,node_cap", [
     ("L1", {}, None),
-    ("L2", {}, 3000),
+    ("L2", {}, None),
     ("L3", {}, None),
     ("L4", {"template": "fig5"}, 1500),
     ("L4", {"template": "fig6"}, 1500),
@@ -1521,6 +1588,8 @@ def test_lemma_masks_match_vertex_set_rules(monkeypatch, lemma_id, window, node_
     monkeypatch.setattr(ll, "_certify", checked_certify)
     check_lemma(lemma_id, node_cap=node_cap, **window)
     assert visited[0] > 0
+    # the packing bound was below the plain count somewhere on the walk
+    assert seen["packed"]
     if lemma_id in ("L3", "L4"):
         # the position rules were asked about singletons, pairs and 3-paths,
         # and each answered both ways
@@ -1528,11 +1597,12 @@ def test_lemma_masks_match_vertex_set_rules(monkeypatch, lemma_id, window, node_
 
 
 @pytest.mark.parametrize("lemma_id,window", [
+    ("L2", {"template": "fig3b"}),
     ("L3", {"template": "fig4"}),
     ("L4", {"template": "fig5"}),
     ("L3", {"radius": 3}),
     ("L4", {"radius": 3}),
-], ids=["L3-fig4", "L4-fig5", "L3-r3", "L4-r3"])
+], ids=["L2-fig3b", "L3-fig4", "L4-fig5", "L3-r3", "L4-r3"])
 def test_lemma_masks_match_vertex_set_rules_on_arbitrary_states(lemma_id, window):
     # the rules read only the decided and IN masks, so they must agree on
     # any assignment that keeps the pins, feasible or not; such states
@@ -1553,7 +1623,101 @@ def test_lemma_masks_match_vertex_set_rules_on_arbitrary_states(lemma_id, window
                     mem |= 1 << i
         eng.dec, eng.mem = dec, mem
         _check_masks_against_vertex_sets(state, seen)
-    assert all(seen.get((size, want)) for size in (1, 2, 3) for want in (True, False)), seen
+    if lemma_id in ("L3", "L4"):
+        assert all(seen.get((size, want)) for size in (1, 2, 3) for want in (True, False)), seen
+
+
+def _brute_independence(verts):
+    """The largest independent subset of a vertex set, by trying its least
+    vertex out and in, all the way down."""
+    if not verts:
+        return 0
+    v = min(verts)
+    rest = verts - {v}
+    return max(_brute_independence(rest), 1 + _brute_independence(rest.difference(neighbors(v))))
+
+
+def _free_only(state, free):
+    """Put the state's engine where exactly the given unpinned zone
+    vertices are undecided and only the pins are IN: the free set is then
+    those vertices, since the pinned clusters' rims are pinned OUT."""
+    eng = state.eng
+    eng.mem = eng.pinned_in
+    eng.dec = ((1 << eng.n) - 1) & ~_ref_mask(eng.index[v] for v in free)
+
+
+def _random_zone_sets(state, count, seed):
+    """Random sets of unpinned zone vertices, each drawn from a radius-4
+    ball of the grid around one, so that many are adjacent."""
+    eng = state.eng
+    zone = {eng.verts[i] for i in hexgrid.set_bits(state.zone_mask & ~(eng.pinned_in | eng.pinned_out))}
+    rng = random.Random(seed)
+    for _ in range(count):
+        around = hexgrid.ball(rng.choice(sorted(zone)), 4) & zone
+        p = rng.choice((0.6, 0.8, 1.0))
+        yield frozenset(v for v in around if rng.random() < p)
+
+
+@pytest.mark.parametrize("lemma_id,template", [("L2", "fig3b"), ("L4", "fig5")])
+def test_packing_floor_is_the_independence_number_on_random_sets(lemma_id, template):
+    tpl = TEMPLATES[template]
+    state = ll._make_state(lemma_id, ll._Engine(tpl.region(), tpl.constraints()))
+    eng = state.eng
+    matched = 0
+    for free in _random_zone_sets(state, 200, lemma_id):
+        _free_only(state, free)
+        comps = eng.components()
+        want = _brute_independence(free)
+        assert state._floor(comps) == want == _ref_independence(free)
+        for limit in _LIMITS:
+            got = state._floor(comps, limit)
+            assert min(got, limit + 1) == min(want, limit + 1) and got <= want
+        matched += want < len(free)
+    assert matched > 100
+
+
+@pytest.mark.parametrize("lemma_id,template", [("L2", "fig3b"), ("L4", "fig5")])
+def test_packing_matching_is_a_maximum_matching(lemma_id, template):
+    # the pairs join a vertex of s = 0 to a neighbor of s = 1, inside the
+    # set, no vertex twice; and no larger matching exists, since the
+    # independence number is the set's size minus the matching's
+    tpl = TEMPLATES[template]
+    state = ll._make_state(lemma_id, ll._Engine(tpl.region(), tpl.constraints()))
+    eng = state.eng
+    for free in _random_zone_sets(state, 200, lemma_id + "m"):
+        mask = _ref_mask(eng.index[v] for v in free)
+        left = _ref_mask(eng.index[v] for v in free if v.s == 0)
+        match = state._matching(left, mask & ~left)
+        pairs = [(eng.verts[a], eng.verts[b]) for b, a in match.items()]
+        assert all(a in free and b in free and a.s == 0 and b.s == 1 for a, b in pairs)
+        assert all(b in neighbors(a) for a, b in pairs)
+        assert len({a for a, _ in pairs}) == len(pairs)
+        assert len(free) - len(match) == _brute_independence(free)
+
+
+def test_packing_floor_counts_a_zone_vertex_next_to_an_outside_component():
+    # a decided-IN vertex x just outside L2's zone, next to an undecided
+    # zone vertex z, every other zone vertex OUT: setting z IN grows x's
+    # cluster into the zone, where it is a candidate, so z stays free.
+    # Removing the neighbors of every IN vertex, not only of components
+    # that meet the zone, would drop z and undercount
+    tpl = TEMPLATES["fig3b"]
+    state = ll._make_state("L2", ll._Engine(tpl.region(), tpl.constraints()))
+    eng = state.eng
+    zone = {eng.verts[i] for i in hexgrid.set_bits(state.zone_mask)}
+    near = {eng.verts[i] for i in hexgrid.set_bits(state.anchor.reach3)}
+    z, x = next((z, x) for z in sorted(zone) for x in neighbors(z)
+                if x in eng.index and x not in near)
+    eng.dec = ((1 << eng.n) - 1) & ~(1 << eng.index[z])
+    eng.mem = eng.pinned_in | 1 << eng.index[x]
+    comps = eng.components()
+    assert [c.members for c in comps if not c.mask & state.zone_mask
+            and not c.mask & state.anchor_mask] == [(eng.index[x],)]
+    assert _ref_free_zone(state, frozenset(zone)) == {z}
+    assert state._floor(comps) == 1
+    # the same vertex next to a zone-meeting component is not free
+    eng.mem |= 1 << eng.index[next(w for w in neighbors(z) if w in zone)]
+    assert state._floor(eng.components()) == 0
 
 
 # ---------------------------------------------------------------------------
