@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import UnsupportedKind
@@ -427,6 +428,71 @@ class _Comp(NamedTuple):
     witness: Tuple[int, ...]  # per member: the distance-two slots outside the component
 
 
+class _Shape(NamedTuple):
+    """The engine tables that a window's shape alone fixes: its universe
+    and the universe index masks built on it.  Every field is a tuple, so
+    the engines that share a record cannot change each other's tables."""
+
+    verts: Tuple[Vertex, ...]  # the universe in (a, b, s) order
+    within: Tuple[Tuple[int, ...], ...]  # within[r][i]: the vertices at distance <= r from i
+    ring2: Tuple[int, ...]  # the vertices at distance exactly two
+    nbmask: Tuple[int, ...]  # the closed in-universe neighborhoods, within[1]
+    nb_full: Tuple[bool, ...]  # all three neighbors lie in the universe
+    clauses: Tuple[Tuple[int, ...], ...]  # per vertex, every clause through it
+
+
+@lru_cache(maxsize=8)
+def _shape(seeds: Tuple[Vertex, ...]) -> _Shape:
+    """The tables of the window whose region and pinned vertices are seeds,
+    given sorted and translated so that the least has a = b = 0.  Every
+    engine on a translate of the window shares them.
+
+    The universe is the seeds grown by GROWTH_MARGIN rings.  An entry grows
+    with the square of the universe: about 23 KiB at a radius-3 window (46
+    vertices), 58 KiB at fig6 (102), 0.4 MiB at 460 vertices and 3.7 MiB at
+    1999, near UNIVERSE_CAP.  So the cache keeps the 8 shapes used last,
+    under about 32 MiB in the worst case.  Raises RegionTooLarge past
+    UNIVERSE_CAP, and then caches nothing.
+    """
+    universe = set().union(*layers(seeds, GROWTH_MARGIN))
+    if len(universe) > UNIVERSE_CAP:
+        raise RegionTooLarge(
+            "%d universe vertices exceed the universe cap of %d" % (len(universe), UNIVERSE_CAP)
+        )
+    verts = tuple(sorted(universe))
+    index = dict(zip(verts, range(len(verts))))
+
+    # grid distances as masks: within[r][i] holds the universe vertices at
+    # distance <= r from vertex i, and ring2[i] those at exactly two.  A
+    # shortest path may leave the universe, so the balls come from the grid:
+    # at[i] is the clause pattern's radius-REACH ball translated to vertex i,
+    # a universe index or None per position.
+    patterns = [clause_pattern(s) for s in (0, 1)]
+    at = [[index.get((a + w.a, b + w.b, w.s)) for w in patterns[s].ball] for a, b, s in verts]
+    bits = [[0 if j is None else 1 << j for j in row] for row in at]
+    # both sublattices have the same layer ends
+    within = tuple(tuple([sum(row[:end]) for row in bits]) for end in patterns[0].ends[:REACH + 1])
+    ring2 = tuple([m2 & ~m1 for m1, m2 in zip(within[1], within[2])])
+    # the closed in-universe neighborhoods; a full vertex has all three
+    # neighbors in the universe
+    nbmask = within[1]
+    nb_full = tuple([m.bit_count() == 4 for m in nbmask])
+
+    # the clauses under each of their vertices, each pair once, from its
+    # lesser vertex
+    upper = [[t for t, v, _, _ in p.partners if v > p.ball[0]] for p in patterns]
+    clauses: List[List[int]] = [[] for _ in verts]
+    for i, row in zip(range(len(verts)), at):
+        if not nb_full[i]:
+            continue
+        own = [nbmask[i]]
+        own += [nbmask[i] ^ nbmask[row[t]] for t in upper[verts[i].s] if row[t] is not None and nb_full[row[t]]]
+        for clause in own:
+            for t in set_bits(clause):
+                clauses[t].append(clause)
+    return _Shape(verts, within, ring2, nbmask, nb_full, tuple(map(tuple, clauses)))
+
+
 class _Engine:
     """Bitmask DFS over the IN/OUT assignments of a window.
 
@@ -443,6 +509,14 @@ class _Engine:
     keeps them as the masks pinned_in and pinned_out, and assigns them
     first.  Every other window vertex is enumerated.  The clauses that the
     pins and their propagation satisfy are then dropped (restrict_clauses).
+
+    Every engine on a translate of one window shape (region and pinned
+    vertices) shares that shape's tables, built once by _shape: within,
+    ring2, nbmask and nb_full, read-only tuples over the universe indices,
+    and the unrestricted clause lists.  Translation keeps the order of the
+    universe, so the indices are the same on every translate.  An engine
+    builds its own verts and index, its pin masks, and its clause lists,
+    which restrict_clauses copies from the shared ones.
     """
 
     def __init__(self, region: Iterable[Vertex], constraints: Optional[Mapping[Vertex, str]] = None):
@@ -452,17 +526,16 @@ class _Engine:
             if st not in (IN, OUT):
                 raise ValueError("bad constraint status %r" % (st,))
 
-        seeds = set(region).union(constraints)
-        universe = set().union(*layers(seeds, GROWTH_MARGIN))
-        if len(universe) > UNIVERSE_CAP:
-            raise RegionTooLarge(
-                "%d universe vertices exceed the universe cap of %d" % (len(universe), UNIVERSE_CAP)
-            )
+        # the shape's tables are those of its translate whose least seed has
+        # a = b = 0; a translation keeps the (a, b, s) order of the universe,
+        # so every universe index, and every mask over them, is the same
+        seeds = sorted(set(region).union(constraints))
+        da, db = (seeds[0].a, seeds[0].b) if seeds else (0, 0)
+        shape = _shape(tuple([Vertex(a - da, b - db, s) for a, b, s in seeds]))
 
-        self.verts: Tuple[Vertex, ...] = tuple(sorted(universe))
+        self.verts: Tuple[Vertex, ...] = tuple([Vertex(a + da, b + db, s) for a, b, s in shape.verts])
         self.index: Dict[Vertex, int] = dict(zip(self.verts, range(len(self.verts))))
-        n = len(self.verts)
-        self.n = n
+        self.n = len(self.verts)
         self.region = region
         self.region_idx: Tuple[int, ...] = tuple(self.index[v] for v in region)
 
@@ -474,36 +547,12 @@ class _Engine:
         self.pinned_in: int = pinned[IN]
         self.pinned_out: int = pinned[OUT]
 
-        # grid distances as masks: within[r][i] holds the universe vertices
-        # at distance <= r from vertex i, and ring2[i] those at exactly two.
-        # A shortest path may leave the universe, so the balls come from the
-        # grid: at[i] is the clause pattern's radius-REACH ball translated to
-        # vertex i, a universe index or None per position.
-        patterns = [clause_pattern(s) for s in (0, 1)]
-        at = [[self.index.get((a + w.a, b + w.b, w.s)) for w in patterns[s].ball] for a, b, s in self.verts]
-        bits = [[0 if j is None else 1 << j for j in row] for row in at]
-        # both sublattices have the same layer ends
-        self.within: Tuple[List[int], ...] = tuple(
-            [sum(row[:end]) for row in bits] for end in patterns[0].ends[:REACH + 1])
-        self.ring2: List[int] = [m2 & ~m1 for m1, m2 in zip(self.within[1], self.within[2])]
-        # the closed in-universe neighborhoods; a full vertex has all three
-        # neighbors in the universe
-        self.nbmask: List[int] = self.within[1]
-        self.nb_full: List[bool] = [m.bit_count() == 4 for m in self.nbmask]
-
-        # the kept clauses (some vertex IN) under each of their vertices,
-        # each pair once, from its lesser vertex
-        upper = [[t for t, v, _, _ in p.partners if v > p.ball[0]] for p in patterns]
-        self.clauses: List[List[int]] = [[] for _ in range(n)]
-        for i, row in zip(range(n), at):
-            if not self.nb_full[i]:
-                continue
-            own = [self.nbmask[i]]
-            own += [self.nbmask[i] ^ self.nbmask[row[t]]
-                    for t in upper[self.verts[i].s] if row[t] is not None and self.nb_full[row[t]]]
-            for clause in own:
-                for t in set_bits(clause):
-                    self.clauses[t].append(clause)
+        self.within = shape.within
+        self.ring2 = shape.ring2
+        self.nbmask = shape.nbmask
+        self.nb_full = shape.nb_full
+        # the unrestricted lists, until restrict_clauses below
+        self.clauses: Sequence[Sequence[int]] = shape.clauses
 
         self._records: Dict[Tuple[int, ...], _Comp] = {}
         # (IN mask, its components) along the current search path
@@ -545,14 +594,10 @@ class _Engine:
         """
         stuck = ~out_ok & ~self.dec & ((1 << self.n) - 1)
         read = bitmask(i for i in set_bits(stuck) if self.nbmask[i] & self._free_mask)
-
-        def keep(clause: int) -> bool:
-            if clause & self.mem:
-                return False
-            s = clause & stuck
-            return not s or (not s & (s - 1) and bool(s & read))
-
-        self.clauses = [[c for c in row if keep(c)] for row in self.clauses]
+        mem = self.mem
+        # s: the clause's stuck vertices; keep none, or one that is read
+        self.clauses = [[c for c in row if not c & mem and (not (s := c & stuck) or not s & (s - 1) and s & read)]
+                        for row in self.clauses]
 
     def mark(self) -> Tuple[int, int]:
         """The current state, as a token for undo."""

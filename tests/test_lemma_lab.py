@@ -21,7 +21,7 @@ from hexident.hexgrid import PeriodLattice, Vertex, layers, neighbors
 from hexident import hexgrid
 from hexident.cluster import Cluster, UnsupportedKind
 from hexident import lemma_lab as ll
-from hexident.code import identifying_constraints
+from hexident.code import clause_pattern, identifying_constraints
 from hexident.optimize import random_code
 from hexident.lemma_lab import (
     COUNTEREXAMPLE,
@@ -408,14 +408,19 @@ def _counted_check(monkeypatch, lemma_id, **kwargs):
     return v.result, v.configs_explored, searched, certified[0]
 
 
-def _counts_id(row):
-    """A case's name: the window, its verdict and its search counts; the
-    certify count is checked but not part of the name."""
-    return "-".join(map(str, row[:-1]))
+def _case_id(lemma_id, window, node_cap):
+    """A case's name: the lemma, its window (a template or a ball radius)
+    and the node cap; the pinned counts stay in the assertions, so moving
+    one on purpose renames no test."""
+    if window is None:
+        window = ll._DEFAULT_TEMPLATE[lemma_id]
+    elif isinstance(window, int):
+        window = "r%d" % window
+    return "%s-%s-%s" % (lemma_id, window, "uncapped" if node_cap is None else "cap%d" % node_cap)
 
 
 @pytest.mark.parametrize("lemma_id,template,node_cap,result,settled,nodes,certified", _PINNED_COUNTS,
-                         ids=[_counts_id(row) for row in _PINNED_COUNTS])
+                         ids=[_case_id(*row[:3]) for row in _PINNED_COUNTS])
 def test_lemma_counters_pinned(monkeypatch, lemma_id, template, node_cap, result, settled, nodes,
                                certified):
     got = _counted_check(monkeypatch, lemma_id, template=template, node_cap=node_cap)
@@ -431,7 +436,7 @@ _RADIUS_COUNTS = [
 
 
 @pytest.mark.parametrize("lemma_id,radius,result,settled,nodes,certified", _RADIUS_COUNTS,
-                         ids=[_counts_id(row) for row in _RADIUS_COUNTS])
+                         ids=[_case_id(row[0], row[1], 3000) for row in _RADIUS_COUNTS])
 def test_radius_window_counters_pinned(monkeypatch, lemma_id, radius, result, settled, nodes, certified):
     got = _counted_check(monkeypatch, lemma_id, radius=radius, node_cap=3000)
     assert got == (result, settled, [nodes], certified)
@@ -730,8 +735,8 @@ def test_engine_clauses_match_neighbor_table_compile():
     for region, pins in _engine_windows():
         eng = ll._Engine(region, pins)
         nb_full, clauses = _ref_clause_compile(eng)
-        assert eng.nbmask == [_ref_mask(row + (i,)) for i, row in enumerate(_nb_in(eng))]
-        assert eng.nb_full == nb_full
+        assert list(eng.nbmask) == [_ref_mask(row + (i,)) for i, row in enumerate(_nb_in(eng))]
+        assert list(eng.nb_full) == nb_full
         assert eng.clauses == [[c for c in row if not c & eng.mem] for row in clauses]
         dropped += sum(map(len, clauses)) - sum(map(len, eng.clauses))
     assert dropped
@@ -765,6 +770,140 @@ def test_engine_clauses_are_the_embedded_periodic_clauses(monkeypatch):
                 want.append(c.orbits)
         assert len(want) == len(set(want)) == len(got)
         assert got == set(want)
+
+
+def _ref_geometry(region, constraints):
+    """The engine's shape tables as the constructor built them before they
+    were shared: the universe grown from the window itself, its vertex
+    order, the distance masks and the unrestricted clause lists."""
+    seeds = set(region).union(constraints)
+    verts = tuple(sorted(set().union(*layers(seeds, ll.GROWTH_MARGIN))))
+    index = dict(zip(verts, range(len(verts))))
+    n = len(verts)
+    patterns = [clause_pattern(s) for s in (0, 1)]
+    at = [[index.get((a + w.a, b + w.b, w.s)) for w in patterns[s].ball] for a, b, s in verts]
+    bits = [[0 if j is None else 1 << j for j in row] for row in at]
+    within = tuple([sum(row[:end]) for row in bits] for end in patterns[0].ends[:ll.REACH + 1])
+    ring2 = [m2 & ~m1 for m1, m2 in zip(within[1], within[2])]
+    nbmask = within[1]
+    nb_full = [m.bit_count() == 4 for m in nbmask]
+    upper = [[t for t, v, _, _ in p.partners if v > p.ball[0]] for p in patterns]
+    clauses = [[] for _ in range(n)]
+    for i, row in zip(range(n), at):
+        if not nb_full[i]:
+            continue
+        own = [nbmask[i]]
+        own += [nbmask[i] ^ nbmask[row[t]]
+                for t in upper[verts[i].s] if row[t] is not None and nb_full[row[t]]]
+        for clause in own:
+            for t in hexgrid.set_bits(clause):
+                clauses[t].append(clause)
+    return verts, within, ring2, nbmask, nb_full, clauses
+
+
+def _shape_windows(count, seed):
+    """Seeded windows of many shapes: a ball of radius 1 to 3 around a
+    random code's vertex, with the code pinned on a ball of radius 0 to 3
+    around a vertex within distance two, so some pins lie outside the
+    region."""
+    rng = random.Random(seed)
+    lattices = [lat for lat in hexgrid.all_lattices(28) if lat.domain_size >= 20]
+    for _ in range(count):
+        code = random_code(rng.choice(lattices), seed=rng.randrange(2**32))
+        centre = rng.choice(list(code.lattice.domain()))
+        pinned = hexgrid.ball(rng.choice(ball(centre, 2)), rng.randint(0, 3))
+        yield ball(centre, rng.randint(1, 3)), {w: IN if code.contains(w) else OUT for w in pinned}
+
+
+def _shifted(v, da=10**6, db=-10**6):
+    return Vertex(v.a + da, v.b + db, v.s)
+
+
+def test_shape_tables_match_the_unshared_compile(monkeypatch):
+    # the full clause lists, restrict_clauses kept off; more shapes than the
+    # cache holds, so entries are evicted and built again
+    monkeypatch.setattr(ll._Engine, "restrict_clauses", lambda eng, out_ok: None)
+    shapes = set()
+    for region, pins in _shape_windows(200, 2801):
+        eng = ll._Engine(region, pins)
+        verts, within, ring2, nbmask, nb_full, clauses = _ref_geometry(region, pins)
+        assert eng.verts == verts
+        assert eng.index == {v: i for i, v in enumerate(verts)}
+        assert eng.within == tuple(map(tuple, within))
+        assert (eng.ring2, eng.nbmask, eng.nb_full) == (tuple(ring2), tuple(nbmask), tuple(nb_full))
+        assert eng.clauses == tuple(map(tuple, clauses))
+        shapes.add(tuple(sorted((v.a - verts[0].a, v.b - verts[0].b, v.s) for v in verts)))
+    assert len(shapes) > ll._shape.cache_info().maxsize
+
+
+def test_shape_tables_are_tuples_shared_by_every_engine(monkeypatch):
+    tpl = TEMPLATES["fig6"]
+    one, two = (ll._Engine(tpl.region(), tpl.constraints()) for _ in range(2))
+    for name in ("within", "ring2", "nbmask", "nb_full"):
+        table = getattr(one, name)
+        assert type(table) is tuple and table is getattr(two, name)
+    assert all(type(row) is tuple for row in one.within)
+    with pytest.raises(TypeError):
+        one.nbmask[0] = 0
+    with pytest.raises(TypeError):
+        one.within[1][0] = 0
+    # each engine restricts its own copy of the lists ...
+    assert one.clauses is not two.clauses and one.clauses == two.clauses
+    # ... from the shape's, which are tuples too
+    monkeypatch.setattr(ll._Engine, "restrict_clauses", lambda eng, out_ok: None)
+    one, two = (ll._Engine(tpl.region(), tpl.constraints()) for _ in range(2))
+    assert type(one.clauses) is tuple and one.clauses is two.clauses
+    assert all(type(row) is tuple for row in one.clauses)
+
+
+def _translated(tpl, da=10**6, db=-10**6):
+    return Template(tpl.name, tuple((_shifted(v, da, db), st) for v, st in tpl.rows))
+
+
+def test_translated_windows_share_the_tables():
+    # a window and its translate: the same masks and restricted clause
+    # lists, and the same enumeration, statuses in the same order
+    windows = [(tpl.region(), tpl.constraints()) for tpl in TEMPLATES.values()]
+    windows += list(_shape_windows(6, 2802))
+    for region, pins in windows:
+        moved_region = [_shifted(v) for v in region]
+        moved_pins = {_shifted(v): st for v, st in pins.items()}
+        eng, moved = ll._Engine(region, pins), ll._Engine(moved_region, moved_pins)
+        assert moved.verts == tuple(_shifted(v) for v in eng.verts)
+        assert moved.within is eng.within
+        for name in ("within", "ring2", "nbmask", "nb_full", "clauses", "pinned_in", "pinned_out", "free_idx"):
+            assert getattr(moved, name) == getattr(eng, name), name
+        got = list(itertools.islice(ll.enumerate(moved_region, moved_pins), 3000))
+        want = list(itertools.islice(ll.enumerate(region, pins), 3000))
+        assert [c.status for c in got] == [c.status for c in want]
+        assert all(c.region == tuple(sorted(moved_region)) for c in got)
+
+
+def test_translated_fig5_has_the_same_verdict_and_counters(monkeypatch):
+    want = _counted_check(monkeypatch, "L4", template="fig5", node_cap=500)
+    monkeypatch.undo()
+    assert want == (INCONCLUSIVE, 245, [501], 0)
+    assert _counted_check(monkeypatch, "L4", template=_translated(TEMPLATES["fig5"]), node_cap=500) == want
+
+
+def test_an_over_cap_window_raises_every_time_and_caches_nothing():
+    big = {Vertex(a, 40, 0): OUT for a in range(ll.UNIVERSE_CAP)}
+    before = ll._shape.cache_info()
+    for _ in range(3):
+        with pytest.raises(RegionTooLarge, match="universe cap of %d" % ll.UNIVERSE_CAP):
+            ll._Engine(ball(V0, 1), big)
+    after = ll._shape.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 3
+
+
+def test_shape_cache_keeps_at_most_maxsize_entries():
+    # paths of 1 to maxsize + 5 vertices: no two are translates
+    maxsize = ll._shape.cache_info().maxsize
+    for k in range(1, maxsize + 6):
+        ll._Engine([Vertex(a, 7, 0) for a in range(k)])
+        assert ll._shape.cache_info().currsize <= maxsize
+    assert ll._shape.cache_info().currsize == maxsize
 
 
 class _TrailEngine(ll._Engine):
@@ -921,7 +1060,7 @@ def test_assign_below_the_root_never_fails_on_engine_windows(monkeypatch):
 
 
 @pytest.mark.parametrize("lemma_id,template,node_cap", [row[:3] for row in _PINNED_COUNTS],
-                         ids=[_counts_id(row) for row in _PINNED_COUNTS])
+                         ids=[_case_id(*row[:3]) for row in _PINNED_COUNTS])
 def test_assign_below_the_root_never_fails_on_lemma_checks(monkeypatch, lemma_id, template, node_cap):
     results = _assigns_below_root(monkeypatch)
     check_lemma(lemma_id, template=template, node_cap=node_cap)
